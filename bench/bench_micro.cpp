@@ -37,7 +37,6 @@
 #include "core/fastpath.h"
 #include "core/welch_lynch.h"
 #include "engine/pdes.h"
-#include "engine/scheduler.h"
 #include "net/partition.h"
 #include "multiset/multiset_ops.h"
 #include "proc/arrival.h"
@@ -147,14 +146,21 @@ void BM_EventQueue(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   util::Rng rng(8);
   for (auto _ : state) {
-    sim::EventQueue queue;
+    sim::EventPool pool;
+    sim::IndexedEventQueue queue(pool);
     for (std::size_t i = 0; i < batch; ++i) {
-      sim::Event event;
+      const sim::EventHandle handle = pool.acquire();
+      sim::Event& event = pool[handle];
       event.time = rng.uniform();
       event.tier = static_cast<std::int32_t>(i % 2);
-      queue.push(event);
+      event.seq = i;
+      queue.push(handle);
     }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
+    while (!queue.empty()) {
+      const sim::EventHandle handle = queue.pop();
+      benchmark::DoNotOptimize(pool[handle]);
+      pool.release(handle);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
@@ -202,8 +208,7 @@ BENCHMARK(BM_LegacyEventQueue)->Arg(1024)->Arg(16384);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   // Events/sec through Simulator::step on a full Welch-Lynch workload
-  // (n = 10, two-faced faults), per scheduler policy.
-  const auto kind = static_cast<engine::SchedulerKind>(state.range(0));
+  // (n = 10, two-faced faults).
   std::int64_t events = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -213,7 +218,6 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
     spec.fault_count = 2;
     spec.rounds = 10;
     spec.seed = 9;
-    spec.scheduler = kind;
     analysis::Experiment experiment(spec);
     state.ResumeTiming();
     experiment.simulator().run_until(12 * spec.params.P);
@@ -221,12 +225,8 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
         experiment.simulator().events_processed());
   }
   state.SetItemsProcessed(events);
-  state.SetLabel(engine::scheduler_name(kind));
 }
-BENCHMARK(BM_SimulatorEventThroughput)
-    ->Arg(static_cast<int>(engine::SchedulerKind::kLegacyHeap))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar));
+BENCHMARK(BM_SimulatorEventThroughput);
 
 /// Keeps `fanout` timers outstanding forever: the scheduler-bound workload.
 class TimerStressProcess final : public proc::Process {
@@ -254,9 +254,7 @@ class TimerStressProcess final : public proc::Process {
 void BM_SimulatorStepSchedulerBound(benchmark::State& state) {
   // Events/sec through Simulator::step with ~1024 events always pending and
   // a near-trivial handler: isolates the scheduling layer of step().
-  const auto kind = static_cast<engine::SchedulerKind>(state.range(0));
   sim::SimConfig config;
-  config.scheduler = kind;
   config.max_events = ~0ull;
   sim::Simulator sim(config, nullptr);
   for (std::int32_t p = 0; p < 4; ++p) {
@@ -274,13 +272,8 @@ void BM_SimulatorStepSchedulerBound(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(sim.events_processed() - warmup));
-  state.SetLabel(engine::scheduler_name(kind));
 }
-BENCHMARK(BM_SimulatorStepSchedulerBound)
-    ->Arg(static_cast<int>(engine::SchedulerKind::kLegacyHeap))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kDaryHeap))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kCalendar))
-    ->Arg(static_cast<int>(engine::SchedulerKind::kAuto));
+BENCHMARK(BM_SimulatorStepSchedulerBound);
 
 /// Queue pressure of the batched fan-out path vs the seed's per-recipient
 /// scheduling, n = 128 full mesh (ISSUE 2's acceptance metric).  Reported
@@ -1012,6 +1005,9 @@ struct FastpathCell {
   std::int32_t rounds;
   bool engaged;
   double wall_s;
+  /// Events dispatched per second of engine span (event cells only), so a
+  /// slow serial reference shows in the artifact, not just in the ratios.
+  double events_per_sec;
 };
 
 std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
@@ -1081,16 +1077,21 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
       analysis::RunSpec spec = w.spec;
       spec.engine = engine;
       const auto start = std::chrono::steady_clock::now();
-      const analysis::RunResult result = analysis::run_experiment(spec);
+      analysis::Experiment experiment(spec);
+      const analysis::RunResult result = experiment.run();
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
+      const double events =
+          static_cast<double>(experiment.simulator().events_processed());
       cells.push_back({w.key, w.variant, w.spec.params.n,
                        engine == analysis::EngineMode::kEvent ? "event"
                                                               : "fastpath",
-                       result.completed_rounds, result.fastpath_engaged,
-                       wall});
+                       result.completed_rounds, result.fastpath_engaged, wall,
+                       result.engine_seconds > 0.0
+                           ? events / result.engine_seconds
+                           : 0.0});
       std::cerr << "  " << w.key << " engine=" << cells.back().engine << " "
                 << result.completed_rounds << " rounds in " << wall << " s\n";
     }
@@ -1147,8 +1148,11 @@ int run_fastpath_json(const util::Flags& flags) {
          << ", \"rounds_per_sec\": " << fastpath_cell_rate(c)
          << ", \"ns_per_round\": "
          << (c.rounds > 0 ? c.wall_s * 1e9 / static_cast<double>(c.rounds)
-                          : 0.0)
-         << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+                          : 0.0);
+    if (std::string(c.engine) == "event") {
+      json << ", \"events_per_sec\": " << c.events_per_sec;
+    }
+    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"speedup\": {";
   const std::vector<std::pair<std::string, double>> fresh =

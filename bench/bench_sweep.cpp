@@ -186,6 +186,7 @@ int run_pdes_json(const util::Flags& flags) {
     std::int64_t stalls;
     double wall_s;    // full run_experiment (setup + engine + measurement)
     double engine_s;  // engine span only — the speedup map uses this
+    std::uint64_t events;  // events dispatched (deterministic per cell)
   };
   std::vector<Cell> cells;
 
@@ -220,10 +221,13 @@ int run_pdes_json(const util::Flags& flags) {
     analysis::RunResult result;
     double wall = 0.0;
     double engine = 0.0;
+    std::uint64_t events = 0;
     for (std::int32_t rep = 0; rep < cell_reps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       try {
-        result = analysis::run_experiment(spec);
+        analysis::Experiment experiment(spec);
+        result = experiment.run();
+        events = experiment.simulator().events_processed();
       } catch (const std::exception& e) {
         // An auto row the tuner declines (or a partition collapse) is a
         // skipped cell, not a dead artifact.
@@ -242,7 +246,7 @@ int run_pdes_json(const util::Flags& flags) {
     }
     cells.push_back({key, topo, n, workers, result.pdes_workers_used,
                      result.completed_rounds, result.pdes_epochs,
-                     result.pdes_stalls, wall, engine});
+                     result.pdes_stalls, wall, engine, events});
     std::cerr << "  " << topo << " n=" << n << " workers="
               << (workers < 0 ? std::string("auto(") +
                                     std::to_string(result.pdes_workers_used) +
@@ -322,8 +326,15 @@ int run_pdes_json(const util::Flags& flags) {
          << ", \"rounds\": " << c.rounds << ", \"pdes_epochs\": " << c.epochs
          << ", \"pdes_stalls\": " << c.stalls << ", \"wall_s\": " << c.wall_s
          << ", \"engine_s\": " << c.engine_s
-         << ", \"rounds_per_sec\": " << rate(c)
-         << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+         << ", \"rounds_per_sec\": " << rate(c);
+    if (c.workers == 0) {
+      // Serial cells carry their absolute event rate: the speedups below
+      // are only as honest as this reference.
+      json << ", \"events_per_sec\": "
+           << (c.engine_s > 0.0 ? static_cast<double>(c.events) / c.engine_s
+                                : 0.0);
+    }
+    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   // Speedup per cell vs the serial reference of the SAME (topology, n) —
   // the reference rows precede their pdes rows in `cells` by construction.

@@ -199,7 +199,6 @@ void Experiment::build() {
   sim_config.eps = p.eps;
   sim_config.seed = rng.fork(1)();
   sim_config.nic = spec_.nic;
-  sim_config.scheduler = spec_.scheduler;
   sim_config.batch_fanout = spec_.batch_fanout;
   if (spec_.max_events > 0) sim_config.max_events = spec_.max_events;
   if (spec_.topology.kind != net::TopologyKind::kFullMesh ||

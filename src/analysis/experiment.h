@@ -23,6 +23,7 @@
 #include "analysis/skew.h"
 #include "core/params.h"
 #include "core/welch_lynch.h"
+#include "engine/scheduler.h"
 #include "net/dynamics.h"
 #include "net/topology.h"
 #include "proc/placement.h"
@@ -67,7 +68,7 @@ enum class DriftKind : std::uint8_t {
 /// Which execution engine run() drives (core/fastpath.h).  A pure
 /// performance knob: the fast path is pinned bit-identical to the event
 /// engine at results_identical strictness (tests/fastpath_test.cpp), like
-/// SchedulerKind and batch_fanout before it.
+/// batch_fanout before it.
 enum class EngineMode : std::uint8_t {
   kEvent = 0,     ///< the event engine only (the measured reference)
   kFastpath = 1,  ///< require the fast path; throws if the spec is ineligible
@@ -197,7 +198,7 @@ struct RunSpec : ScenarioSpec {
   DriftKind drift = DriftKind::kExtremal;
   double drift_period = 2.0;
 
-  /// Batched fan-out delivery: one scheduler entry per in-flight broadcast.
+  /// Batched fan-out delivery: one queue entry per in-flight broadcast.
   /// Results are bit-identical either way (tests/topology_test.cpp); false
   /// keeps the seed's per-recipient scheduling as the measured baseline.
   bool batch_fanout = true;
@@ -207,10 +208,10 @@ struct RunSpec : ScenarioSpec {
   std::int32_t rounds = 20;
   std::uint64_t seed = 1;
   std::optional<sim::NicConfig> nic;
-  /// Engine scheduling policy — performance only; results are identical
-  /// under every policy (see tests/engine_test.cpp).  kAuto selects by
-  /// observed queue depth; set an explicit kind to override.
-  engine::SchedulerKind scheduler = engine::SchedulerKind::kAuto;
+  /// The event scheduler every engine lane runs — a fixed name for route
+  /// records, not an option (engine/scheduler.h).
+  static constexpr engine::SchedulerKind scheduler =
+      engine::SchedulerKind::kDaryHeap;
   /// Round-synchronous fast path (core/fastpath.h) — performance only;
   /// executions are bit-identical either way.  kAuto engages it exactly on
   /// the eligible specs; set kEvent to force the reference engine (as the

@@ -100,7 +100,7 @@ class ParallelRunner {
     const std::vector<RunSpec>& specs, int threads = 0);
 
 /// Exact (bitwise, no tolerance) equality of every measured field — the
-/// standard the parallel runner and the scheduler policies are held to.
+/// standard the parallel runner and the alternative engines are held to.
 [[nodiscard]] bool results_identical(const RunResult& a, const RunResult& b);
 
 }  // namespace wlsync::analysis

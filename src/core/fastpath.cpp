@@ -399,8 +399,8 @@ bool RoundFastPath::take_entry_events() {
   std::size_t ucount = 0;
   seen_.assign(n, 0);
   std::vector<char> upd(n, 0);
-  while (!lane.scheduler->empty()) {
-    const sim::EventHandle h = lane.scheduler->pop();
+  while (!lane.queue.empty()) {
+    const sim::EventHandle h = lane.queue.pop();
     ++lane.queue_pops;
     const sim::Event& e = lane.pool[h];
     const bool deliver = e.engine_kind == sim::EngineKind::kDeliver;
@@ -483,14 +483,14 @@ bool RoundFastPath::try_rearm(double horizon) {
     // restored, and phase 0 is deterministic — re-taking it unchanged
     // would reproduce the bail forever.  Only after the event engine has
     // consumed at least one event can a genuinely new boundary emerge.
-    if (lane.scheduler->empty()) return false;
-    if (lane.pool[lane.scheduler->peek()].time > horizon) return false;
+    if (lane.queue.empty()) return false;
+    if (lane.pool[lane.queue.top()].time > horizon) return false;
     bool attempt = false;
     if (mode_ == Mode::kRegion) {
       // While disengaged the fast pids run on the engine like everyone
       // else; a boundary can only complete right after a fast pid's
       // update (arming its next broadcast timer) or START.
-      const sim::Event& e = lane.pool[lane.scheduler->peek()];
+      const sim::Event& e = lane.pool[lane.queue.top()];
       attempt = e.engine_kind == sim::EngineKind::kDeliver && e.to >= 0 &&
                 e.to < n_ && fast_[static_cast<std::size_t>(e.to)] != 0 &&
                 ((e.msg.kind == sim::Kind::kTimer && e.tier == 1 &&
@@ -500,7 +500,7 @@ bool RoundFastPath::try_rearm(double horizon) {
     // One engine event, exactly as run_until would dispatch it (count_event
     // enforces the budget and throws where the engine would).
     ++lane.queue_pops;
-    sim_.dispatch(lane, lane.scheduler->pop(), horizon);
+    sim_.dispatch(lane, lane.queue.pop(), horizon);
     if (mode_ == Mode::kRegion) {
       if (attempt) {
         if (take_entry_events()) return true;
@@ -508,11 +508,11 @@ bool RoundFastPath::try_rearm(double horizon) {
       }
       continue;
     }
-    if (lane.scheduler->size() == n ||
-        (mode_ == Mode::kStaggered && lane.scheduler->size() == 2 * n - 1)) {
+    if (lane.queue.size() == n ||
+        (mode_ == Mode::kStaggered && lane.queue.size() == 2 * n - 1)) {
       // Cheap pre-check before draining: a boundary's head is a tier-1
       // broadcast timer (or a START, for systems still waking up).
-      const sim::Event& head = lane.pool[lane.scheduler->peek()];
+      const sim::Event& head = lane.pool[lane.queue.top()];
       const bool boundary_head =
           head.engine_kind == sim::EngineKind::kDeliver &&
           ((head.msg.kind == sim::Kind::kTimer && head.tier == 1 &&
@@ -572,8 +572,8 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
         (engine_head_time_ == time && engine_head_key_ < key))) {
     return;  // head unchanged since last look and not yet due
   }
-  while (!lane.scheduler->empty()) {
-    const sim::Event& head = lane.pool[lane.scheduler->peek()];
+  while (!lane.queue.empty()) {
+    const sim::Event& head = lane.pool[lane.queue.top()];
     const std::uint64_t head_key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.tier))
          << 62) |
@@ -590,13 +590,13 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
     }
     ++lane.queue_pops;
     ++stats_.region_events;
-    sim_.dispatch(lane, lane.scheduler->pop(), time);
+    sim_.dispatch(lane, lane.queue.pop(), time);
   }
-  if (lane.scheduler->empty()) {
+  if (lane.queue.empty()) {
     engine_head_time_ = std::numeric_limits<double>::infinity();
     engine_head_key_ = ~std::uint64_t{0};
   } else {
-    const sim::Event& head = lane.pool[lane.scheduler->peek()];
+    const sim::Event& head = lane.pool[lane.queue.top()];
     engine_head_time_ = head.time;
     engine_head_key_ =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.tier))
@@ -828,8 +828,8 @@ bool RoundFastPath::run_exchange(double horizon) {
       sim::Simulator::Lane& lane = sim_.main_;
       double writes_by = -std::numeric_limits<double>::infinity();
       scan_handles_.clear();
-      while (!lane.scheduler->empty()) {
-        const sim::EventHandle h = lane.scheduler->pop();
+      while (!lane.queue.empty()) {
+        const sim::EventHandle h = lane.queue.pop();
         scan_handles_.push_back(h);
         const sim::Event& e = lane.pool[h];
         if (e.engine_kind == sim::EngineKind::kFanout) {

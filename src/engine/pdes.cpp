@@ -13,7 +13,6 @@
 #include <thread>
 #include <utility>
 
-#include "engine/scheduler.h"
 #include "util/spsc_queue.h"
 
 namespace wlsync::engine {
@@ -507,16 +506,6 @@ void PdesEngine::setup(const net::Partition& partition,
   sim_.shard_lanes_.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     auto lane = std::make_unique<Lane>();
-    // Lane pending sets are ~1/k of the serial queue, squarely in the
-    // indexed d-ary heap's regime; under kAuto, picking it outright skips
-    // the depth-adaptive wrapper's per-op indirection and its
-    // heap<->calendar migration churn at lane scale.  Sound because every
-    // policy pops the identical (time, tier, seq) order (engine/scheduler.h)
-    // — an explicitly pinned kind is still honored.
-    lane->scheduler = make_scheduler(
-        sim_.config_.scheduler == SchedulerKind::kAuto ? SchedulerKind::kDaryHeap
-                                                       : sim_.config_.scheduler,
-        lane->pool);
     lane->shard = static_cast<std::int32_t>(i);
     lane->current_time = sim_.main_.current_time;
     // Direct SPSC channels to every other lane, the engine boundary set
@@ -544,8 +533,8 @@ void PdesEngine::setup(const net::Partition& partition,
   const sim::EngineKind arrive_kind = sim_.config_.nic.has_value()
                                           ? sim::EngineKind::kNicArrive
                                           : sim::EngineKind::kDeliver;
-  while (!sim_.main_.scheduler->empty()) {
-    const sim::EventHandle handle = sim_.main_.scheduler->pop();
+  while (!sim_.main_.queue.empty()) {
+    const sim::EventHandle handle = sim_.main_.queue.pop();
     ++sim_.main_.queue_pops;
     const sim::Event& event = sim_.main_.pool[handle];
     if (event.engine_kind == sim::EngineKind::kFanout) {
@@ -578,9 +567,8 @@ void PdesEngine::worker(std::int32_t wi, double horizon) {
       // including the remaining deliveries of a batched fan-out, whose
       // queue entry is keyed by its FIRST remaining delivery) — prune them
       // lazily here.
-      const double peek = lane.scheduler->empty()
-                              ? kInf
-                              : lane.pool[lane.scheduler->peek()].time;
+      const double peek =
+          lane.queue.empty() ? kInf : lane.pool[lane.queue.top()].time;
       auto& bh = lane.boundary_heap;
       while (!bh.empty() && bh.front() < peek) {
         std::pop_heap(bh.begin(), bh.end(), std::greater<>{});
@@ -677,8 +665,8 @@ void PdesEngine::dissolve() {
                                           : sim::EngineKind::kDeliver;
   for (auto& lane_ptr : sim_.shard_lanes_) {
     sim::Simulator::Lane& lane = *lane_ptr;
-    while (!lane.scheduler->empty()) {
-      const sim::EventHandle handle = lane.scheduler->pop();
+    while (!lane.queue.empty()) {
+      const sim::EventHandle handle = lane.queue.pop();
       const sim::Event& event = lane.pool[handle];
       if (event.engine_kind == sim::EngineKind::kFanout) {
         // Un-batch the remaining deliveries; the recorded seqs/times make

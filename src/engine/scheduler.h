@@ -1,74 +1,20 @@
 #pragma once
-// Pluggable event-scheduling policies for the execution engine.
+// The name of the event scheduler, for run records.
 //
-// The Simulator owns the event payloads (a sim::EventPool slab pool) and a
-// SchedulerPolicy that maintains priority order over the pooled handles.
-// Every policy implements the same deterministic total order — ascending
-// (time, tier, seq), i.e. sim::EventBefore — so the execution a Simulator
-// produces is byte-identical regardless of which policy dispatches it.
-// That invariant is what lets scheduler selection be a pure performance
-// knob (and is pinned down by tests/engine_test.cpp).
-//
-// Policies:
-//   kDaryHeap  — 4-ary indexed heap; O(log n), branch-light.
-//   kCalendar  — Brown's calendar queue; amortized O(1) for workloads whose
-//                event times are roughly uniform per window, the classic
-//                choice of large discrete-event network simulators.
-//   kAuto      — the default: starts on the d-ary heap and migrates the
-//                pending set to the calendar queue when the observed depth
-//                crosses ~1k events (where the calendar wins ~2.5x), back
-//                when it falls low again.  Migration drains one policy into
-//                the other; since every policy pops the same total order,
-//                switching at any instant cannot change the execution.
+// Every engine lane orders its pending events with one structure: the
+// indexed 4-ary heap over pooled handles (sim::IndexedEventQueue, see
+// engine/indexed_queue.h), popping the deterministic (time, tier, seq)
+// order of sim::EventBefore.  There is nothing to select; this enum only
+// names that scheduler in route records (RunSpec::scheduler).
 
 #include <cstdint>
-#include <memory>
-
-#include "sim/event.h"
 
 namespace wlsync::engine {
 
-enum class SchedulerKind : std::uint8_t {
-  kDaryHeap = 0,
-  kCalendar = 1,
-  /// The seed's data path — a std::priority_queue copying whole Events on
-  /// every sift.  Kept as the measured baseline for bench_micro's
-  /// event-throughput comparison; never the right choice in production.
-  kLegacyHeap = 2,
-  /// Depth-adaptive: d-ary heap below ~1k pending events, calendar queue
-  /// above (hysteresis avoids thrashing at the boundary).  The default;
-  /// pick an explicit policy via SimConfig/RunSpec to override.
-  kAuto = 3,
-};
+enum class SchedulerKind : std::uint8_t { kDaryHeap };
 
-[[nodiscard]] const char* scheduler_name(SchedulerKind kind) noexcept;
-
-/// Priority order over handles into a sim::EventPool owned by the caller.
-/// The pool reference handed to make_scheduler must outlive the policy.
-class SchedulerPolicy {
- public:
-  virtual ~SchedulerPolicy() = default;
-
-  /// Inserts a handle whose pooled payload is fully initialized (seq set).
-  virtual void push(sim::EventHandle handle) = 0;
-
-  /// Removes and returns the minimal handle; undefined when empty.
-  virtual sim::EventHandle pop() = 0;
-
-  /// Pops the minimal handle only if its time is <= `time`; returns
-  /// kInvalidHandle when the queue is empty or the next event is later.
-  /// The single per-event call of the run_until hot loop: policies answer
-  /// from their cached keys without dereferencing the pool.
-  virtual sim::EventHandle pop_if_not_after(double time) = 0;
-
-  /// Returns the minimal handle without removing it; undefined when empty.
-  [[nodiscard]] virtual sim::EventHandle peek() const = 0;
-
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-};
-
-[[nodiscard]] std::unique_ptr<SchedulerPolicy> make_scheduler(
-    SchedulerKind kind, const sim::EventPool& pool);
+[[nodiscard]] constexpr const char* scheduler_name(SchedulerKind) noexcept {
+  return "d-ary-heap";
+}
 
 }  // namespace wlsync::engine

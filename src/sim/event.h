@@ -8,13 +8,12 @@
 // every execution of the engine deterministic.
 //
 // Storage and ordering live in the engine layer: payloads sit in a slab
-// pool (engine/event_pool.h) and priority order is maintained over 4-byte
-// handles (engine/indexed_queue.h, engine/scheduler.h).  The EventQueue
-// below is the standalone pooled queue; the Simulator itself talks to a
-// pluggable engine::SchedulerPolicy instead.
+// pool (engine/event_pool.h) and IndexedEventQueue, the one event
+// scheduler, keeps them in that order as 4-byte handles with cached keys
+// (engine/indexed_queue.h).  Each Simulator lane owns one pool and one
+// queue over it.
 
 #include <cstdint>
-#include <utility>
 
 #include "engine/event_pool.h"
 #include "engine/indexed_queue.h"
@@ -73,7 +72,7 @@ struct EventAfter {
 };
 
 /// The (time, tier, seq) order packed into 16 bytes, cached inside the
-/// scheduler's containers so ordering never dereferences the pool.  Packing
+/// queue's heap entries so ordering never dereferences the pool.  Packing
 /// tier into the top bits of seq assumes tier in [0, 3] and seq < 2^62 —
 /// both structural in this model (tier is 0 ordinary / 1 TIMER, seq is an
 /// insertion counter).
@@ -100,42 +99,5 @@ struct EventKeyOf {
 using EventPool = engine::SlabPool<Event>;
 using EventHandle = EventPool::Handle;
 using IndexedEventQueue = engine::IndexedQueue<EventPool, EventKeyOf>;
-
-/// Deterministic priority queue of pending events (the "message buffer" of
-/// Section 2.2, with delivery times attached at insertion).  Payloads are
-/// stored once in a slab pool; only handles move during heap maintenance.
-class EventQueue {
- public:
-  EventQueue() = default;
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  void push(const Event& event) { emplace(Event(event)); }
-  void push(Event&& event) { emplace(std::move(event)); }
-
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] const Event& top() const { return pool_[queue_.top()]; }
-
-  Event pop() {
-    const EventHandle handle = queue_.pop();
-    Event event = std::move(pool_[handle]);
-    pool_.release(handle);
-    return event;
-  }
-
- private:
-  void emplace(Event&& event) {
-    const EventHandle handle = pool_.acquire();
-    Event& slot = pool_[handle];
-    slot = std::move(event);
-    slot.seq = next_seq_++;
-    queue_.push(handle);
-  }
-
-  EventPool pool_;
-  IndexedEventQueue queue_{pool_};
-  std::uint64_t next_seq_ = 0;
-};
 
 }  // namespace wlsync::sim

@@ -105,7 +105,6 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<DelayModel> delay)
   if (config_.eps < 0 || config_.delta < config_.eps) {
     throw std::invalid_argument("Simulator: require delta >= eps >= 0 (A3)");
   }
-  main_.scheduler = engine::make_scheduler(config_.scheduler, main_.pool);
 }
 
 Simulator::~Simulator() = default;
@@ -120,9 +119,9 @@ std::size_t Simulator::idx(std::int32_t id) const {
 }
 
 void Simulator::push_handle(Lane& lane, EventHandle handle) {
-  lane.scheduler->push(handle);
+  lane.queue.push(handle);
   ++lane.queue_pushes;
-  lane.peak_pending = std::max(lane.peak_pending, lane.scheduler->size());
+  lane.peak_pending = std::max(lane.peak_pending, lane.queue.size());
 }
 
 void Simulator::schedule_event(Lane& lane, double time, std::int32_t tier,
@@ -545,9 +544,9 @@ void Simulator::deliver(Lane& lane, std::int32_t pid, const Message& msg) {
 }
 
 bool Simulator::step() {
-  if (main_.scheduler->empty()) return false;
+  if (main_.queue.empty()) return false;
   ++main_.queue_pops;
-  dispatch(main_, main_.scheduler->pop(),
+  dispatch(main_, main_.queue.pop(),
            std::numeric_limits<double>::infinity());
   return true;
 }
@@ -629,11 +628,11 @@ void Simulator::dispatch_fanout(Lane& lane, EventHandle handle, double limit) {
 
     const net::FanoutDelivery& next = record.next();
     bool requeue = next.time > limit;
-    if (!requeue && lane.scheduler->size() > 0) {
+    if (!requeue && !lane.queue.empty()) {
       // Run extension: deliver the next recipient without a queue
       // round-trip only while its key still precedes every pending event
       // (the handler above may have scheduled earlier ones).
-      const EventKey head = EventKeyOf{}(lane.pool[lane.scheduler->peek()]);
+      const EventKey head = EventKeyOf{}(lane.pool[lane.queue.top()]);
       const EventKey ours{next.time, next.seq};  // tier 0: top bits clear
       requeue = !(ours < head);
     }
@@ -701,7 +700,8 @@ void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
 
 void Simulator::run_lane(Lane& lane, double limit) {
   for (;;) {
-    const EventHandle handle = lane.scheduler->pop_if_not_after(limit);
+    const EventHandle handle = lane.queue.pop_if(
+        [limit](const EventKey& key) { return key.time <= limit; });
     if (handle == EventPool::kInvalidHandle) break;
     ++lane.queue_pops;
     dispatch(lane, handle, limit);

@@ -2,10 +2,11 @@
 // The execution engine of Section 2.3.
 //
 // A Simulator owns the processes, their physical clocks, the message buffer
-// (a slab-pooled EventPool ordered by a pluggable engine::SchedulerPolicy),
-// the network layer (an optional net::Topology exchange graph plus batched
-// fan-out delivery — one scheduler entry per in-flight broadcast instead of
-// one per recipient) and the delay model, and produces executions that
+// (a slab-pooled EventPool ordered by an IndexedEventQueue, the indexed
+// 4-ary heap of engine/indexed_queue.h), the network layer (an optional
+// net::Topology exchange graph plus batched fan-out delivery — one queue
+// entry per in-flight broadcast instead of one per recipient) and the delay
+// model, and produces executions that
 // satisfy the six execution properties of the model:
 //   1/5. events fire exactly at their buffered delivery times, finitely many
 //        before any fixed time (the priority queue);
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "clock/physical_clock.h"
-#include "engine/scheduler.h"
 #include "net/dynamics.h"
 #include "net/fanout.h"
 #include "net/topology.h"
@@ -86,16 +86,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
   std::optional<NicConfig> nic;       ///< engaged only for Section 9.3 studies
   std::uint64_t max_events = 50'000'000;  ///< runaway guard
-  /// Event-scheduling policy; a pure performance knob — every policy
-  /// dispatches the identical deterministic (time, tier, seq) order.  The
-  /// kAuto default selects by observed queue depth; set an explicit kind
-  /// to override.
-  engine::SchedulerKind scheduler = engine::SchedulerKind::kAuto;
   /// Exchange graph broadcasts route through.  Unset = the paper's fully
   /// connected model (recipients 0..n-1), with no adjacency materialized.
   /// When set, its node count must equal the registered process count.
   std::optional<net::Topology> topology;
-  /// Batched fan-out: a broadcast occupies ONE scheduler entry that re-arms
+  /// Batched fan-out: a broadcast occupies ONE queue entry that re-arms
   /// per recipient (per-link delays still drawn independently, in the same
   /// order, so executions are bit-identical either way — pinned by
   /// tests/topology_test.cpp).  false = the seed's per-recipient
@@ -233,11 +228,11 @@ class Simulator {
   [[nodiscard]] double eps() const noexcept { return config_.eps; }
 
   // Engine pressure counters (bench_micro / bench_topology):
-  /// Scheduler push + pop operations performed so far.
+  /// Event-queue push + pop operations performed so far.
   [[nodiscard]] std::uint64_t queue_ops() const noexcept {
     return sum_lanes(&Lane::queue_pushes) + sum_lanes(&Lane::queue_pops);
   }
-  /// High-water mark of pending scheduler entries (per lane, maxed).
+  /// High-water mark of pending queue entries (per lane, maxed).
   [[nodiscard]] std::size_t peak_pending() const noexcept {
     std::size_t peak = main_.peak_pending;
     for (const auto& lane : shard_lanes_) {
@@ -260,7 +255,7 @@ class Simulator {
   friend class SimContext;
   // The round fast path (core/fastpath.h) replays broadcast/update events
   // through the real process code with a mirrored Context, so it needs the
-  // same internals SimContext touches plus the scheduler/pool for its
+  // same internals SimContext touches plus the queue/pool for its
   // inject-and-bail protocol.
   friend class core::RoundFastPath;
   // The conservative parallel engine (engine/pdes.h) shards the event flow
@@ -293,15 +288,20 @@ class Simulator {
     std::uint64_t next_seq = 0;
   };
 
-  /// One independent slice of the event flow: an event pool + scheduler +
-  /// fan-out pool + clock + pressure counters.  The serial engine is
-  /// exactly one lane (main_); the PDES engine adds one lane per topology
-  /// shard, each driven by its own worker thread.  Everything a dispatch
-  /// touches that is not per-process Node state lives here, so two lanes
-  /// never share mutable state — cross-lane traffic rides SPSC channels.
+  /// One independent slice of the event flow: an event pool + the queue
+  /// ordering it + fan-out pool + clock + pressure counters.  The serial
+  /// engine is exactly one lane (main_); the PDES engine adds one lane per
+  /// topology shard, each driven by its own worker thread.  Everything a
+  /// dispatch touches that is not per-process Node state lives here, so two
+  /// lanes never share mutable state — cross-lane traffic rides SPSC
+  /// channels.  Pinned in place: the queue holds a pointer to `pool`.
   struct Lane {
+    Lane() = default;
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
     EventPool pool;
-    std::unique_ptr<engine::SchedulerPolicy> scheduler;
+    IndexedEventQueue queue{pool};
     net::FanoutPool fanouts;
     /// Passive observers of this lane's events.  The serial engine's public
     /// add_trace_sink appends to main_'s list; the PDES engine hands each
@@ -330,9 +330,9 @@ class Simulator {
     const std::vector<char>* boundary = nullptr;
     /// PDES only: min-heap (std::greater order) of pending boundary-event
     /// times in this lane.  A conservative superset — entries whose events
-    /// already executed are lazily pruned against the scheduler head at
-    /// each epoch fold, which can never drop a live boundary event because
-    /// the scheduler head is a lower bound on everything still pending.
+    /// already executed are lazily pruned against the queue head at each
+    /// epoch fold, which can never drop a live boundary event because the
+    /// queue head is a lower bound on everything still pending.
     std::vector<double> boundary_heap;
     /// PDES only: overlapped-drain hook, called every 64 dispatches.
     LanePoller* poller = nullptr;
@@ -376,7 +376,7 @@ class Simulator {
   }
 
   /// Builds an event in place in the lane's pool (stamping its seq from
-  /// `origin`'s counter) and hands the handle to the lane's scheduler — the
+  /// `origin`'s counter) and hands the handle to the lane's queue — the
   /// one entry point for all fresh scheduling.
   void schedule_event(Lane& lane, double time, std::int32_t tier,
                       std::int32_t origin, std::int32_t to,
@@ -386,7 +386,7 @@ class Simulator {
   void schedule_raw(Lane& lane, double time, std::int32_t tier,
                     std::uint64_t seq, std::int32_t to, EngineKind engine_kind,
                     const Message& msg);
-  /// Wraps lane.scheduler->push with the pressure counters.
+  /// Wraps lane.queue.push with the pressure counters.
   void push_handle(Lane& lane, EventHandle handle);
 
   /// Executes one popped event: advances the lane clock, routes by engine
@@ -397,8 +397,8 @@ class Simulator {
   void dispatch(Lane& lane, EventHandle handle, double limit);
   /// Batched fan-out dispatch (EngineKind::kFanout).
   void dispatch_fanout(Lane& lane, EventHandle handle, double limit);
-  /// Pops and dispatches every event with time <= limit (inclusive, like
-  /// pop_if_not_after).  Does NOT advance the lane clock to limit.
+  /// Pops and dispatches every event with time <= limit (inclusive).  Does
+  /// NOT advance the lane clock to limit.
   void run_lane(Lane& lane, double limit);
 
   /// Per-delivery slice of the max_events runaway guard (lane-local; the
@@ -408,7 +408,7 @@ class Simulator {
   void do_send(Lane& lane, std::int32_t from, std::int32_t to, std::int32_t tag,
                double value, std::int32_t aux);
   /// Fan-out to the sender's exchange-graph neighborhood — batched into a
-  /// single scheduler entry unless config_.batch_fanout is off.  Cross-lane
+  /// single queue entry unless config_.batch_fanout is off.  Cross-lane
   /// recipients are split into RemoteEvents (their seqs come out of the
   /// same per-sender allocation order, so the serial tie-break survives).
   void do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
@@ -458,7 +458,7 @@ class Simulator {
   /// dissolve.  Public accessors report main_ plus any live shard lanes.
   Lane main_;
   /// PDES mode (engine/pdes.h): one lane per topology shard, unique_ptr so
-  /// lane addresses stay stable (schedulers hold pool references).  Empty
+  /// lane addresses stay stable (queues hold pool pointers).  Empty
   /// on the serial path.
   std::vector<std::unique_ptr<Lane>> shard_lanes_;
   /// pid -> shard index while shard_lanes_ is live; empty otherwise.

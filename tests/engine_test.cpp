@@ -1,9 +1,7 @@
-// Engine layer: slab pool handle stability and recycling, indexed d-ary
-// heap order, scheduler policies (d-ary heap vs calendar queue) agreeing
-// with each other and with a reference priority queue on the deterministic
-// (time, tier, seq) order, and whole-execution byte-identity of RoundTraces
-// across policies — the invariant that makes the scheduler a pure
-// performance knob.
+// Engine layer: slab pool handle stability and recycling, the indexed
+// d-ary heap agreeing with a reference priority queue on the deterministic
+// (time, tier, seq) order under random push/pop/top/pop_if interleavings,
+// and run-over-run byte-identity of whole executions.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +13,12 @@
 #include "analysis/experiment.h"
 #include "analysis/parallel_runner.h"
 #include "analysis/round_trace.h"
-#include "engine/scheduler.h"
 #include "sim/event.h"
 #include "util/rng.h"
 
 namespace wlsync {
 namespace {
 
-using engine::SchedulerKind;
-using engine::SchedulerPolicy;
 using sim::Event;
 using sim::EventHandle;
 using sim::EventPool;
@@ -99,115 +94,71 @@ TEST(IndexedEventQueue, PopsInSortedKeyOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
-/// Drives a policy and a reference std::priority_queue through an identical
-/// random interleaving of pushes and pops; every pop must agree.
-void check_policy_against_reference(SchedulerKind kind, std::uint64_t seed) {
+/// Drives the queue and a reference std::priority_queue through an identical
+/// random interleaving of push, pop, top and pop_if; every answer must agree.
+void check_queue_against_reference(std::uint64_t seed) {
   EventPool pool;
-  const std::unique_ptr<SchedulerPolicy> policy =
-      engine::make_scheduler(kind, pool);
+  sim::IndexedEventQueue queue(pool);
   std::priority_queue<Event, std::vector<Event>, sim::EventAfter> reference;
 
   util::Rng rng(seed);
   std::uint64_t next_seq = 0;
   double drift = 0.0;  // occasionally advancing time base, as in a real run
   for (int op = 0; op < 20000; ++op) {
-    const bool push = policy->empty() || rng.chance(0.55);
-    if (push) {
+    const double dice = queue.empty() ? 0.0 : rng.uniform(0.0, 1.0);
+    if (dice < 0.55) {
       Event event;
-      // Mix clustered, tied, and decreasing times (the calendar queue's
-      // cursor-reset path) around the drifting base.
+      // Mix clustered, tied, and decreasing times around the drifting base.
       event.time = drift + static_cast<double>(rng.below(64)) * 0.03125 -
                    (rng.chance(0.1) ? 1.0 : 0.0);
       event.tier = static_cast<std::int32_t>(rng.below(2));
       event.seq = next_seq++;
       const EventHandle handle = pool.acquire();
       pool[handle] = event;
-      policy->push(handle);
+      queue.push(handle);
       reference.push(event);
       if (rng.chance(0.02)) drift += rng.uniform(0.0, 3.0);
-    } else {
-      ASSERT_EQ(key_of(pool[policy->peek()]), key_of(reference.top()));
-      const EventHandle handle = policy->pop();
+    } else if (dice < 0.8) {
+      ASSERT_EQ(key_of(pool[queue.top()]), key_of(reference.top()));
+      const EventHandle handle = queue.pop();
       ASSERT_EQ(key_of(pool[handle]), key_of(reference.top()));
       pool.release(handle);
       reference.pop();
+    } else {
+      // The run_until gate: pop only when the head is not after `limit`.
+      const double limit = drift + rng.uniform(-1.0, 2.0);
+      const EventHandle handle = queue.pop_if(
+          [limit](const sim::EventKey& key) { return key.time <= limit; });
+      if (reference.top().time <= limit) {
+        ASSERT_NE(handle, EventPool::kInvalidHandle);
+        ASSERT_EQ(key_of(pool[handle]), key_of(reference.top()));
+        pool.release(handle);
+        reference.pop();
+      } else {
+        ASSERT_EQ(handle, EventPool::kInvalidHandle);
+      }
     }
+    ASSERT_EQ(queue.size(), reference.size());
   }
-  while (!policy->empty()) {
+  while (!queue.empty()) {
     ASSERT_FALSE(reference.empty());
-    const EventHandle handle = policy->pop();
+    const EventHandle handle = queue.pop();
     EXPECT_EQ(key_of(pool[handle]), key_of(reference.top()));
     pool.release(handle);
     reference.pop();
   }
   EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(queue.pop_if([](const sim::EventKey&) { return true; }),
+            EventPool::kInvalidHandle);
 }
 
-TEST(SchedulerPolicy, DaryHeapMatchesReference) {
-  check_policy_against_reference(SchedulerKind::kDaryHeap, 11);
-}
-
-TEST(SchedulerPolicy, CalendarMatchesReference) {
-  check_policy_against_reference(SchedulerKind::kCalendar, 11);
-  check_policy_against_reference(SchedulerKind::kCalendar, 99);
-}
-
-TEST(SchedulerPolicy, LegacyHeapMatchesReference) {
-  check_policy_against_reference(SchedulerKind::kLegacyHeap, 11);
-}
-
-TEST(SchedulerPolicy, AutoMatchesReference) {
-  // The random stream hovers around a few thousand pending entries, so the
-  // adaptive policy crosses its migration thresholds repeatedly.
-  check_policy_against_reference(SchedulerKind::kAuto, 11);
-  check_policy_against_reference(SchedulerKind::kAuto, 99);
-}
-
-TEST(SchedulerPolicy, AutoSurvivesDepthSwings) {
-  // Force full migrations both ways: fill far past the calendar threshold,
-  // drain far below the heap threshold, repeat — pops must stay sorted.
-  EventPool pool;
-  const auto policy = engine::make_scheduler(SchedulerKind::kAuto, pool);
-  util::Rng rng(5);
-  std::uint64_t next_seq = 0;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    while (policy->size() < 3000) {
-      const EventHandle handle = pool.acquire();
-      pool[handle] = Event{rng.uniform(0.0, 100.0), 0, next_seq++, 0,
-                           sim::EngineKind::kDeliver, {}, {}};
-      policy->push(handle);
-    }
-    double last = -1.0;
-    while (policy->size() > 50) {
-      const EventHandle handle = policy->pop();
-      EXPECT_GE(pool[handle].time, last);
-      last = pool[handle].time;
-      pool.release(handle);
-    }
-  }
-}
-
-TEST(SchedulerPolicy, CalendarHandlesSparseTimes) {
-  // Events separated by huge gaps force the direct-search fallback.
-  EventPool pool;
-  const auto policy = engine::make_scheduler(SchedulerKind::kCalendar, pool);
-  std::vector<double> times{0.0, 5000.0, 5000.0, 12000.0, 0.5};
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const EventHandle handle = pool.acquire();
-    pool[handle] = Event{times[i], 0, i, 0, sim::EngineKind::kDeliver, {}, {}};
-    policy->push(handle);
-  }
-  std::vector<double> sorted = times;
-  std::sort(sorted.begin(), sorted.end());
-  for (double want : sorted) {
-    const EventHandle handle = policy->pop();
-    EXPECT_DOUBLE_EQ(pool[handle].time, want);
-    pool.release(handle);
-  }
+TEST(IndexedEventQueue, MatchesReferenceUnderRandomInterleaving) {
+  check_queue_against_reference(11);
+  check_queue_against_reference(99);
 }
 
 // --------------------------------------------------------------------------
-// Whole-execution identity across scheduler policies.
+// Whole-execution identity run over run.
 
 bool traces_identical(const analysis::RoundTrace& a,
                       const analysis::RoundTrace& b) {
@@ -235,49 +186,6 @@ analysis::RunSpec base_spec() {
   spec.rounds = 8;
   spec.seed = 424242;
   return spec;
-}
-
-TEST(SchedulerDeterminism, PoliciesProduceIdenticalExecutions) {
-  analysis::RunSpec heap_spec = base_spec();
-  heap_spec.scheduler = SchedulerKind::kDaryHeap;
-  analysis::RunSpec calendar_spec = base_spec();
-  calendar_spec.scheduler = SchedulerKind::kCalendar;
-
-  analysis::RunSpec legacy_spec = base_spec();
-  legacy_spec.scheduler = SchedulerKind::kLegacyHeap;
-  analysis::RunSpec auto_spec = base_spec();
-  auto_spec.scheduler = SchedulerKind::kAuto;
-
-  analysis::Experiment heap_run(heap_spec);
-  analysis::Experiment calendar_run(calendar_spec);
-  analysis::Experiment legacy_run(legacy_spec);
-  analysis::Experiment auto_run(auto_spec);
-  const analysis::RunResult heap_result = heap_run.run();
-  const analysis::RunResult calendar_result = calendar_run.run();
-  const analysis::RunResult legacy_result = legacy_run.run();
-  const analysis::RunResult auto_result = auto_run.run();
-
-  EXPECT_TRUE(analysis::results_identical(heap_result, calendar_result));
-  EXPECT_TRUE(analysis::results_identical(heap_result, legacy_result));
-  EXPECT_TRUE(analysis::results_identical(heap_result, auto_result));
-  EXPECT_TRUE(traces_identical(heap_run.trace(), calendar_run.trace()));
-  EXPECT_TRUE(traces_identical(heap_run.trace(), legacy_run.trace()));
-  EXPECT_TRUE(traces_identical(heap_run.trace(), auto_run.trace()));
-  EXPECT_GT(heap_run.trace().begins().size(), 0u);
-}
-
-TEST(SchedulerDeterminism, PoliciesAgreeUnderNicBuffering) {
-  // The NIC arrival/service events exercise same-time scheduling chains.
-  analysis::RunSpec heap_spec = base_spec();
-  heap_spec.nic = sim::NicConfig{/*capacity=*/4, /*service_time=*/5e-4};
-  heap_spec.scheduler = SchedulerKind::kDaryHeap;
-  analysis::RunSpec calendar_spec = heap_spec;
-  calendar_spec.scheduler = SchedulerKind::kCalendar;
-
-  const analysis::RunResult heap_result = analysis::run_experiment(heap_spec);
-  const analysis::RunResult calendar_result =
-      analysis::run_experiment(calendar_spec);
-  EXPECT_TRUE(analysis::results_identical(heap_result, calendar_result));
 }
 
 TEST(SchedulerDeterminism, RepeatedRunsAreIdentical) {

@@ -132,10 +132,6 @@ TEST(FastpathPin, MeasurementAndEngineKnobs) {
   RunSpec unbatched = base_spec(13, 4);
   unbatched.batch_fanout = false;
   expect_engines_identical(unbatched, "per-recipient fan-out");
-
-  RunSpec legacy_heap = base_spec(13, 4);
-  legacy_heap.scheduler = engine::SchedulerKind::kLegacyHeap;
-  expect_engines_identical(legacy_heap, "legacy-heap scheduler");
 }
 
 TEST(FastpathPin, DeterministicUnderParallelRunner) {

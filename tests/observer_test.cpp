@@ -126,7 +126,7 @@ TEST(Observer, StreamedSeriesMatchesExplicitPostHocOnSameWindow) {
             skew_at(experiment.simulator(), result.honest, result.t_end));
 }
 
-TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
+TEST(Observer, BoundedModeIsDeterministicAcrossEngines) {
   RunSpec spec = base_spec(Algo::kWelchLynch, net::TopologyKind::kKRegular,
                            FaultKind::kTwoFaced, 1);
   spec.measure_gradient = true;
@@ -136,10 +136,6 @@ TEST(Observer, BoundedModeIsDeterministicAcrossEnginesAndSchedulers) {
   const RunResult reference = run_experiment(spec);
   const RunResult repeat = run_experiment(spec);
   EXPECT_TRUE(results_identical(reference, repeat));
-
-  RunSpec scheduler = spec;
-  scheduler.scheduler = engine::SchedulerKind::kCalendar;
-  EXPECT_TRUE(results_identical(reference, run_experiment(scheduler)));
 
   RunSpec per_recipient = spec;
   per_recipient.batch_fanout = false;

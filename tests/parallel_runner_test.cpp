@@ -36,17 +36,6 @@ TEST(ParallelRunner, MatchesSerialBitForBit) {
   EXPECT_FALSE(results_identical(serial[0], serial[1]));
 }
 
-TEST(ParallelRunner, MatchesSerialUnderBothSchedulers) {
-  RunSpec base = cheap_spec();
-  base.scheduler = engine::SchedulerKind::kCalendar;
-  const std::vector<RunSpec> specs = seed_sweep(base, 7, 6);
-  const std::vector<RunResult> serial = ParallelRunner(1).run(specs);
-  const std::vector<RunResult> sharded = ParallelRunner(3).run(specs);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(results_identical(serial[i], sharded[i])) << "trial " << i;
-  }
-}
-
 TEST(ParallelRunner, RunIndexedCoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 257;
   std::vector<std::atomic<int>> hits(kCount);

@@ -19,8 +19,29 @@ std::unique_ptr<clk::PhysicalClock> perfect_clock(double offset = 0.0) {
                                               1e-4);
 }
 
-TEST(EventQueue, OrdersByTimeTierSeq) {
-  EventQueue queue;
+/// An IndexedEventQueue over its own pool, stamping seqs in push order the
+/// way a single origin's counter would.
+struct PooledQueue {
+  EventPool pool;
+  IndexedEventQueue queue{pool};
+  std::uint64_t next_seq = 0;
+
+  void push(Event event) {
+    const EventHandle handle = pool.acquire();
+    event.seq = next_seq++;
+    pool[handle] = event;
+    queue.push(handle);
+  }
+  Event pop() {
+    const EventHandle handle = queue.pop();
+    const Event event = pool[handle];
+    pool.release(handle);
+    return event;
+  }
+};
+
+TEST(IndexedEventQueue, OrdersByTimeTierSeq) {
+  PooledQueue queue;
   Event timer;
   timer.time = 1.0;
   timer.tier = 1;
@@ -41,8 +62,8 @@ TEST(EventQueue, OrdersByTimeTierSeq) {
   EXPECT_DOUBLE_EQ(queue.pop().time, 2.0);
 }
 
-TEST(EventQueue, FifoWithinSameTimeAndTier) {
-  EventQueue queue;
+TEST(IndexedEventQueue, FifoWithinSameTimeAndTier) {
+  PooledQueue queue;
   for (std::int32_t i = 0; i < 5; ++i) {
     Event event;
     event.time = 1.0;

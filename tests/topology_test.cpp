@@ -298,20 +298,6 @@ TEST(FanoutDeterminism, MatchesOnSparseTopology) {
   check_batched_matches_reference(spec);
 }
 
-TEST(FanoutDeterminism, MatchesAcrossSchedulerPolicies) {
-  // Batched fan-out on the adaptive scheduler vs the seed configuration
-  // (per-recipient events on the legacy copying heap): same execution.
-  RunSpec modern = fanout_spec();
-  modern.batch_fanout = true;
-  modern.scheduler = engine::SchedulerKind::kAuto;
-  RunSpec seed_config = fanout_spec();
-  seed_config.batch_fanout = false;
-  seed_config.scheduler = engine::SchedulerKind::kLegacyHeap;
-  const RunResult a = analysis::run_experiment(modern);
-  const RunResult b = analysis::run_experiment(seed_config);
-  EXPECT_TRUE(analysis::results_identical(a, b));
-}
-
 TEST(FanoutDeterminism, BatchingShrinksQueuePressure) {
   // The engineering claim behind the refactor: one entry per in-flight
   // broadcast instead of one per recipient.

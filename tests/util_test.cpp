@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/flags.h"
 #include "util/rng.h"
@@ -150,6 +152,48 @@ TEST(Flags, ParsesForms) {
   EXPECT_EQ(flags.get_int("missing", 42), 42);
   EXPECT_TRUE(flags.has("n"));
   EXPECT_FALSE(flags.has("missing"));
+}
+
+TEST(Flags, NegativeNumberAfterFlagIsItsValue) {
+  const char* argv[] = {"prog", "--rounds", "-5", "--offset", "-0.25",
+                        "--quiet", "--next"};
+  Flags flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.get_int("rounds", 0), -5);
+  EXPECT_DOUBLE_EQ(flags.get_double("offset", 0.0), -0.25);
+  EXPECT_TRUE(flags.get_bool("quiet", false));  // "--next" is a flag
+  EXPECT_TRUE(flags.get_bool("next", false));
+}
+
+TEST(Flags, RejectsTrailingGarbage) {
+  const char* argv[] = {"prog", "--n=12x", "--rho=0.5s"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("rho", 0.0), std::invalid_argument);
+}
+
+TEST(Flags, RejectsNonNumbers) {
+  const char* argv[] = {"prog", "--n=abc", "--rho=", "--trials=1.5"};
+  Flags flags(4, const_cast<char**>(argv));
+  EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("rho", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int("trials", 0), std::invalid_argument);
+  // A bare numeric flag reads as "true", which is not a number either.
+  const char* bare[] = {"prog", "--rounds"};
+  EXPECT_THROW((void)Flags(2, const_cast<char**>(bare)).get_int("rounds", 0),
+               std::invalid_argument);
+}
+
+TEST(Flags, ErrorNamesFlagAndValue) {
+  const char* argv[] = {"prog", "--trials=abc"};
+  Flags flags(2, const_cast<char**>(argv));
+  try {
+    (void)flags.get_int("trials", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trials"), std::string::npos) << what;
+    EXPECT_NE(what.find("abc"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
