@@ -113,8 +113,10 @@
 // runs, so their ratios measure the host, not the engine.
 //
 // Every row also carries wall_s, the trial's wall-clock seconds as measured
-// inside run_experiment (per-trial telemetry from the streaming runner),
-// and hist_peak_mb, the peak retained clock/CORR history on observe rows.
+// inside run_experiment (per-trial telemetry from the streaming runner);
+// engine_s, the engine span inside it (RunResult::engine_seconds), so
+// wall_s - engine_s is what setup and measurement cost; and hist_peak_mb,
+// the peak retained clock/CORR history on observe rows.
 
 #include <algorithm>
 #include <chrono>
@@ -152,7 +154,7 @@ void write_csv_header(std::ostream& out) {
          "diverged,gradient_slope,gradient_diameter,gradient_far_skew,"
          "nic_dropped,nic_drop_rate,nic_peak_queue,nic_max_burst,"
          "hist_peak_mb,fastpath,fastpath_refusal,pdes_epochs,pdes_stalls,"
-         "pdes_refusal,wall_s,rounds_per_sec\n";
+         "pdes_refusal,wall_s,engine_s,rounds_per_sec\n";
 }
 
 // --pdes-json: the PDES perf-trajectory artifact (BENCH_pdes.json).  The
@@ -610,6 +612,7 @@ int main(int argc, char** argv) {
         << bench::refusal_csv(r.fastpath_refusal) << ',' << r.pdes_epochs
         << ',' << r.pdes_stalls << ','
         << bench::refusal_csv(r.pdes_refusal) << ',' << r.wall_seconds << ','
+        << r.engine_seconds << ','
         << (r.wall_seconds > 0.0 ? r.completed_rounds / r.wall_seconds : 0.0)
         << '\n';
     if (++done % 50 == 0) {

@@ -10,13 +10,20 @@
 // skew's max / mean / p99 over a sample window, plus a least-squares slope
 // summary — the measurable form of a gradient bound.
 //
-// gradient_series rides the sharded measurement pipeline of
-// analysis/measure.h: local times come from one cursor walk per clock, and
-// the O(m^2) pair-bucketing shards over node pairs across threads.  Every
-// reduction is a max (order-insensitive over doubles), so any thread count
-// produces bit-identical buckets — gradient_at is the naive per-sample
-// reference scan the sharded path is regression-pinned against
-// (tests/gradient_test.cpp, 1e-12).
+// gradient_series samples local times through the measurement pipeline of
+// analysis/measure.h (one cursor walk per clock) and then makes ONE pass
+// over the graph: a bit-parallel BFS from every node, 64 sources per block,
+// with one uint64_t visited/frontier mask per node.  At level d each source
+// folds the grid rows of the measured nodes it first reaches (its distance-
+// d sphere) into per-source max/min rows, and max(hi - L_s, L_s - lo) is
+// max |L_s - L_v| over the sphere exactly: rounded subtraction is monotone
+// and fl(a - b) = -fl(b - a).  Each unordered pair is folded once, from its
+// lower id.  Blocks shard across threads; the merges are max folds and
+// integer sums, so any thread count produces bit-identical buckets.  The
+// pass never touches Topology's lazy distance cache, so it costs O(n) BFS
+// state per shard instead of n^2 cached rows.  gradient_at is the naive
+// per-sample reference scan the pass is regression-pinned against
+// (tests/gradient_test.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -66,9 +73,11 @@ struct GradientAxis {
   std::int32_t diameter = 0;             ///< of the whole topology
 };
 
-/// Builds the bucket axis with one O(m^2) integer pass; warms the
-/// topology's BFS distance cache.  Throws std::invalid_argument on a
-/// disconnected topology (cross-component skew has no distance bucket).
+/// Builds the bucket axis with the same bit-parallel BFS as gradient_series
+/// (pair counts by popcount, the diameter from the deepest level), serially
+/// and without touching the topology's distance cache.  Throws
+/// std::invalid_argument on a disconnected topology (cross-component skew
+/// has no distance bucket) and on repeated or out-of-range ids.
 [[nodiscard]] GradientAxis build_gradient_axis(
     const net::Topology& topo, const std::vector<std::int32_t>& ids);
 
@@ -85,12 +94,13 @@ void finish_gradient_window_summaries(GradientSeries& series,
 
 /// Buckets every pair of `ids` by hop distance in `topo` and evaluates the
 /// per-bucket max skew at every instant of the grid {t0, t0+dt, ..., t1}
-/// (the same endpoint-closed grid as skew_series).  threads = 0 auto-shards
-/// the pair scan for large workloads and stays serial inside an outer
-/// ParallelRunner sweep; any thread count yields bit-identical values.
-/// Warms the topology's distance cache (so the Topology may be shared
-/// read-only afterwards).  Throws std::invalid_argument on a disconnected
-/// topology (cross-component skew has no distance to bucket by).
+/// (the same endpoint-closed grid as skew_series), in one sharded BFS-and-
+/// fold pass (header comment).  threads = 0 auto-shards the pass for large
+/// workloads and stays serial inside an outer ParallelRunner sweep; any
+/// thread count yields bit-identical values.  Reads the Topology without
+/// mutating it (its lazy distance cache stays cold).  Throws
+/// std::invalid_argument on a disconnected topology (cross-component skew
+/// has no distance to bucket by) and on repeated or out-of-range ids.
 [[nodiscard]] GradientSeries gradient_series(const sim::Simulator& sim,
                                              const std::vector<std::int32_t>& ids,
                                              const net::Topology& topo,

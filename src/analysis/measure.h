@@ -20,7 +20,7 @@
 namespace wlsync::analysis {
 
 /// Auto-parallel break-even shared by the sharded probes (sample_local_times
-/// here, the pair scan in analysis/gradient.cpp): below this many scalar
+/// here, the BFS-and-fold pass in analysis/gradient.cpp): below this many scalar
 /// evaluations a serial pass wins, and trials running under an outer
 /// ParallelRunner sweep should not spawn inner pools for small windows.
 inline constexpr std::size_t kMeasureShardThreshold = std::size_t{1} << 16;

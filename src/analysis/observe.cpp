@@ -118,9 +118,10 @@ void StreamingObserver::apply_skew_sample(double t) {
           "StreamingObserver: sample count exceeded the horizon-derived "
           "capacity (ObserveSpec::horizon too small)");
     }
-    // The post-hoc pair scan, one column at a time: fold |L_i - L_j| into
-    // the pair's distance bucket with max (order-insensitive, so this is
-    // bit-identical to the sharded gradient_series matrix).
+    // Fold |L_i - L_j| into the pair's distance bucket with max (order-
+    // insensitive, so this is bit-identical to the gradient_series matrix).
+    // The observer runs on the engine's one thread, so it may read BFS rows
+    // through the topology's lazy cache, which fills on the first sample.
     const std::vector<std::int32_t>& ids = spec_.ids;
     const std::size_t m = ids.size();
     for (std::size_t i = 0; i + 1 < m; ++i) {

@@ -76,7 +76,8 @@ struct ObserveSpec {
   /// Also bucket pairwise skew by hop distance (analysis/gradient.h).
   bool gradient = false;
   /// Exchange graph for the gradient buckets (non-owning; required and
-  /// used only when `gradient`).  Its BFS cache is warmed at construction.
+  /// used only when `gradient`).  The per-sample scan fills its lazy BFS
+  /// cache row by row, so it must not be shared with other threads.
   const net::Topology* topology = nullptr;
   /// Bounded-memory mode: truncate clock/CORR history behind the
   /// observation frontier as the run progresses.
@@ -127,7 +128,7 @@ class StreamingObserver final : public sim::Observer {
 
   /// Preallocates every accumulator (walkers, sample storage, gradient
   /// matrix, histogram) against spec.horizon; with `gradient` set, builds
-  /// the distance-bucket axis (one O(m^2) pass, warms the BFS cache).
+  /// the distance-bucket axis (build_gradient_axis: one bit-parallel BFS).
   /// The simulator must outlive the observer; attach with
   /// sim.set_observer(&observer).
   StreamingObserver(sim::Simulator& sim, ObserveSpec spec);

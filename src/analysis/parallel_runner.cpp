@@ -124,7 +124,7 @@ double ParallelRunner::estimate_cost(const RunSpec& spec) {
   }
   double cost = per_round * static_cast<double>(std::max(spec.rounds, 1));
   if (spec.measure_gradient) {
-    // The measurement pair scan is O(n^2) per sample, 25 samples/round
+    // The gradient fold is O(n^2) per sample, 25 samples/round
     // over roughly half the run.
     cost += n * n * 12.5 * static_cast<double>(std::max(spec.rounds, 1));
   }

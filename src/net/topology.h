@@ -90,11 +90,15 @@ class Topology {
   // --- distance queries (the gradient-skew subsystem's graph metric) ---
   //
   // Gradient clock synchronization (Bund/Lenzen/Rosenbaum) bounds skew as a
-  // function of hop distance d(i, j), so the analysis layer needs BFS rows
-  // and the diameter.  Rows are computed lazily and cached per source;
-  // first computation mutates the cache, so warm every row you need (or
-  // call diameter(), which warms all of them) BEFORE sharing one Topology
-  // across measurement threads.  Reads of warmed rows are const and safe.
+  // function of hop distance d(i, j).  These are the simple per-source
+  // queries: rows are computed lazily and cached per source, so a full
+  // cache holds n^2 int32s.  First computation mutates the cache, so warm
+  // every row you need (or call diameter(), which warms all of them) BEFORE
+  // sharing one Topology across threads.  Reads of warmed rows are const
+  // and safe.  gradient_series and build_gradient_axis (analysis/
+  // gradient.h) run their own bit-parallel BFS and never touch this cache;
+  // the streaming observer's per-sample scan and the gradient_at reference
+  // read it.
 
   /// BFS hop distances from p to every node (self-loops ignored; d(p,p) =
   /// 0).  Unreachable nodes hold -1.  The reference stays valid for the

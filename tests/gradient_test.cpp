@@ -1,13 +1,16 @@
 // Gradient-skew subsystem: BFS distances / eccentricity / diameter pinned
 // against hand-computed small graphs; a drift-free run's gradient is flat
-// (slope 0 within 1e-12); and the sharded pair-bucketing of gradient_series
-// is pinned to the naive O(m^2) per-sample reference scan (gradient_at) at
-// 1e-12 — and bit-identical across thread counts.
+// (slope 0 within 1e-12); and the bit-parallel BFS-and-fold pass of
+// gradient_series is pinned bitwise to the naive O(m^2) per-sample
+// reference scan (gradient_at) and to pair counts taken from the cached BFS
+// rows, on shapes the 64-source blocks make awkward, and bit-identical
+// across thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -211,6 +214,206 @@ TEST(Gradient, ThreadCountInvariance) {
   EXPECT_TRUE(analysis::gradient_summaries_identical(
       analysis::summarize_gradient(serial),
       analysis::summarize_gradient(sharded)));
+}
+
+// ------------------------------------- 64-source blocks, awkward shapes ---
+
+/// n idle processes on free-running clocks with distinct rates and
+/// offsets, run to t = 20, so every pair has its own skew trajectory.
+std::unique_ptr<sim::Simulator> drifting_clocks(std::int32_t n) {
+  sim::SimConfig config;
+  auto sim = std::make_unique<sim::Simulator>(config, nullptr);
+  for (std::int32_t p = 0; p < n; ++p) {
+    const double rate = 1.0 + static_cast<double>((p * 37) % 21 - 10) * 1e-5;
+    const double offset = static_cast<double>((p * 53) % 101) * 1.37e-4;
+    sim->add_process(std::make_unique<Idle>(),
+                     std::make_unique<clk::PhysicalClock>(
+                         clk::make_constant(rate), offset, /*rho=*/1e-3),
+                     /*corr0=*/0.0, /*faulty=*/false, /*start=*/0.0);
+  }
+  sim->run_until(20.0);
+  return sim;
+}
+
+/// The ids of {0, 5, 63, 64, 65, 127, 128, n - 1} that exist: both sides
+/// of the 64-id block boundaries.
+std::vector<std::int32_t> boundary_ids(std::int32_t n) {
+  std::vector<std::int32_t> ids;
+  for (const std::int32_t p : {0, 5, 63, 64, 65, 127, 128}) {
+    if (p < n - 1) ids.push_back(p);
+  }
+  ids.push_back(n - 1);
+  return ids;
+}
+
+/// Every id except the boundary ones ("faulty"), which punch holes on
+/// both sides of the block boundaries.
+std::vector<std::int32_t> ids_with_holes(std::int32_t n) {
+  const std::vector<std::int32_t> faulty = boundary_ids(n);
+  std::vector<std::int32_t> ids;
+  for (std::int32_t p = 0; p < n; ++p) {
+    if (std::find(faulty.begin(), faulty.end(), p) == faulty.end()) {
+      ids.push_back(p);
+    }
+  }
+  return ids;
+}
+
+/// Pair counts per hop distance from the cached BFS rows, the way the
+/// bucket axis used to be counted: index = distance.
+std::vector<std::int64_t> cached_pair_counts(
+    const Topology& topo, const std::vector<std::int32_t>& ids) {
+  std::vector<std::int64_t> counts(
+      static_cast<std::size_t>(topo.diameter()) + 1, 0);
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+    const std::vector<std::int32_t>& row = topo.distances_from(ids[i]);
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      ++counts[static_cast<std::size_t>(row[static_cast<std::size_t>(ids[j])])];
+    }
+  }
+  return counts;
+}
+
+/// A path 0 - 1 - ... - (n - 1), closed into a ring when `ring`.
+Topology path_graph(std::int32_t n, bool ring) {
+  std::vector<std::vector<std::int32_t>> lists(static_cast<std::size_t>(n));
+  for (std::int32_t p = 0; p + 1 < n; ++p) {
+    lists[static_cast<std::size_t>(p)].push_back(p + 1);
+  }
+  if (ring) lists[static_cast<std::size_t>(n - 1)].push_back(0);
+  return Topology::from_adjacency(lists);
+}
+
+struct Shape {
+  const char* name;
+  Topology topo;
+};
+
+std::vector<Shape> awkward_shapes() {
+  return {
+      {"expander n=97", Topology::k_regular(97, 6, /*seed=*/3)},
+      {"expander n=200", Topology::k_regular(200, 8, /*seed=*/5)},
+      {"path n=150 (diameter 149)", path_graph(150, /*ring=*/false)},
+      {"ring n=133 (diameter 66)", path_graph(133, /*ring=*/true)},
+      {"ring of cliques n=200", Topology::ring_of_cliques(200, 8)},
+      {"full mesh n=130", Topology::full_mesh(130)},
+  };
+}
+
+/// Pins gradient_series (serial) and build_gradient_axis on one id set:
+/// the axis against the cached-row pair counts, every cell bitwise against
+/// gradient_at.
+void expect_matches_reference(const sim::Simulator& sim, const Topology& topo,
+                              const std::vector<std::int32_t>& ids) {
+  const GradientSeries series = analysis::gradient_series(
+      sim, ids, topo, 1.0, 19.0, 2.5, /*threads=*/1);
+
+  // Axis: exactly the distances that carry pairs, with the old counts.
+  const std::vector<std::int64_t> counts = cached_pair_counts(topo, ids);
+  std::vector<std::int32_t> distances;
+  std::vector<std::int64_t> nonzero;
+  for (std::size_t d = 1; d < counts.size(); ++d) {
+    if (counts[d] > 0) {
+      distances.push_back(static_cast<std::int32_t>(d));
+      nonzero.push_back(counts[d]);
+    }
+  }
+  EXPECT_EQ(series.diameter, topo.diameter());
+  EXPECT_EQ(series.distances, distances);
+  EXPECT_EQ(series.pair_count, nonzero);
+  std::int64_t pairs = 0;
+  for (const std::int64_t c : series.pair_count) pairs += c;
+  const auto m = static_cast<std::int64_t>(ids.size());
+  EXPECT_EQ(pairs, m * (m - 1) / 2);
+
+  // The streaming observer's axis comes from the same BFS.
+  const analysis::GradientAxis axis = analysis::build_gradient_axis(topo, ids);
+  EXPECT_EQ(axis.distances, series.distances);
+  EXPECT_EQ(axis.pair_count, series.pair_count);
+  EXPECT_EQ(axis.diameter, series.diameter);
+  for (std::size_t b = 0; b < axis.distances.size(); ++b) {
+    EXPECT_EQ(axis.bucket_of[static_cast<std::size_t>(axis.distances[b])],
+              static_cast<std::int32_t>(b));
+  }
+
+  ASSERT_GT(series.times.size(), 2u);
+  for (std::size_t k = 0; k < series.times.size(); ++k) {
+    const std::vector<double> reference = analysis::gradient_at(
+        sim, ids, topo, series.distances, series.times[k]);
+    ASSERT_EQ(reference.size(), series.distances.size());
+    for (std::size_t b = 0; b < reference.size(); ++b) {
+      ASSERT_EQ(series.at(b, k), reference[b])
+          << "bucket d=" << series.distances[b] << " sample " << k;
+    }
+  }
+  EXPECT_GT(series.frontier.back(), 0.0);
+}
+
+TEST(GradientPass, MatchesReferenceAndCachedCountsOnAwkwardShapes) {
+  for (const Shape& shape : awkward_shapes()) {
+    SCOPED_TRACE(shape.name);
+    const auto sim = drifting_clocks(shape.topo.n());
+    {
+      SCOPED_TRACE("dense ids with holes at the block boundaries");
+      expect_matches_reference(*sim, shape.topo,
+                               ids_with_holes(shape.topo.n()));
+    }
+    {
+      // Few pairs per bucket: every single pair's fold decides a cell.
+      SCOPED_TRACE("only the block-boundary ids");
+      expect_matches_reference(*sim, shape.topo, boundary_ids(shape.topo.n()));
+    }
+  }
+}
+
+TEST(GradientPass, BitIdenticalAcrossThreadCounts) {
+  for (const Shape& shape : awkward_shapes()) {
+    SCOPED_TRACE(shape.name);
+    const Topology& topo = shape.topo;
+    const auto sim = drifting_clocks(topo.n());
+    const std::vector<std::int32_t> ids = ids_with_holes(topo.n());
+    const GradientSeries serial = analysis::gradient_series(
+        *sim, ids, topo, 1.0, 19.0, 2.5, /*threads=*/1);
+    for (const int threads : {2, 3, 4, 0}) {
+      SCOPED_TRACE(threads);
+      const GradientSeries other = analysis::gradient_series(
+          *sim, ids, topo, 1.0, 19.0, 2.5, threads);
+      EXPECT_EQ(other.skew_by_sample, serial.skew_by_sample);
+      EXPECT_TRUE(analysis::gradient_summaries_identical(
+          analysis::summarize_gradient(serial),
+          analysis::summarize_gradient(other)));
+    }
+  }
+}
+
+TEST(GradientPass, RejectsDisconnectedTopologyAcrossBlocks) {
+  // Two rings of 70: every block's BFS stalls with masks unfilled.
+  std::vector<std::vector<std::int32_t>> lists(140);
+  for (std::int32_t p = 0; p < 140; ++p) {
+    const std::int32_t ring = p / 70 * 70;
+    lists[static_cast<std::size_t>(p)].push_back(ring + (p - ring + 1) % 70);
+  }
+  const Topology topo = Topology::from_adjacency(lists);
+  ASSERT_FALSE(topo.connected());
+  const auto sim = drifting_clocks(topo.n());
+  const std::vector<std::int32_t> ids = ids_with_holes(topo.n());
+  for (const int threads : {1, 4}) {
+    EXPECT_THROW((void)analysis::gradient_series(*sim, ids, topo, 1.0, 9.0,
+                                                 2.5, threads),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)analysis::build_gradient_axis(topo, ids),
+               std::invalid_argument);
+}
+
+TEST(GradientPass, RejectsRepeatedAndOutOfRangeIds) {
+  const Topology topo = Topology::ring_of_cliques(12, 3);
+  EXPECT_THROW((void)analysis::build_gradient_axis(topo, {0, 1, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)analysis::build_gradient_axis(topo, {0, 12}),
+               std::invalid_argument);
+  EXPECT_THROW((void)analysis::build_gradient_axis(topo, {-1, 3}),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- experiment surface ---
