@@ -900,6 +900,47 @@ void smoke_pdes_stalls(std::vector<SmokeRow>& rows) {
                   result.pdes_epochs > 0 && stall_rate <= kStallRateCeiling});
 }
 
+/// The same gate on the Section 9.3 stagger over a sparse Byzantine
+/// network (ring of 64-cliques, n = 2048, four neighbor-scoped two-faced
+/// adversaries at random positions, sigma = 1e-4): the spec where
+/// id-contiguous shards take turns, because each is active in a different
+/// stretch of the round.  The engine deals phase-ordered regions to lanes
+/// round-robin (engine/pdes.h), so every lane has work in every window.
+/// The rate here is per lane-epoch, the unit PdesTuner demotes on; the
+/// shard map read 0.34 at w = 2 and 0.60 at w = 4, over the ceiling.
+void smoke_pdes_stagger_stalls(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(2048, 682, 1e-5, 0.01, 1e-3, 10.0);
+  spec.rounds = 6;
+  spec.seed = 9;
+  spec.topology.kind = net::TopologyKind::kRingOfCliques;
+  spec.topology.clique_size = 64;
+  spec.fault = analysis::FaultKind::kTwoFaced;
+  spec.fault_count = 4;
+  spec.placement = proc::PlacementKind::kRandom;
+  spec.stagger = 1e-4;
+  spec.engine = analysis::EngineMode::kPdes;
+  // Exact epoch counts of the phase-ordered lane map (any drift means the
+  // lane assignment or the window fold changed).
+  for (const auto& [workers, pinned_epochs] :
+       {std::pair<std::int32_t, double>{2, 190.0}, {4, 190.0}}) {
+    spec.pdes_workers = workers;
+    const analysis::RunResult result = analysis::run(spec);
+    const std::string prefix = "pdes_stagger_w" + std::to_string(workers);
+    const auto epochs = static_cast<double>(result.pdes_epochs);
+    rows.push_back({prefix + "_epochs", epochs, pinned_epochs,
+                    epochs == pinned_epochs});
+    const double stall_rate =
+        result.pdes_epochs > 0
+            ? static_cast<double>(result.pdes_stalls) /
+                  (epochs * static_cast<double>(workers))
+            : 1.0;
+    constexpr double kStallRateCeiling = 0.25;
+    rows.push_back({prefix + "_stall_rate", stall_rate, kStallRateCeiling,
+                    result.pdes_epochs > 0 && stall_rate <= kStallRateCeiling});
+  }
+}
+
 /// Steady-state allocations the PDES epoch loop + overlapped drain add
 /// OVER the serial engine, pinned at ZERO by a double difference: for
 /// each engine, two fresh runs of the canonical expander spec (6 and 12
@@ -959,6 +1000,7 @@ int run_smoke(const util::Flags& flags) {
   smoke_simd_kernels(rows);
   smoke_fastpath_round(rows);
   smoke_pdes_stalls(rows);
+  smoke_pdes_stagger_stalls(rows);
   smoke_pdes_drain_allocs(rows);
 
   const std::string out_path = flags.get_string("out", "micro-smoke.csv");
@@ -983,12 +1025,10 @@ int run_smoke(const util::Flags& flags) {
 
 // ---------------------------------------------------------------------------
 // --fastpath-json: the perf-trajectory artifact (BENCH_fastpath.json).
-// One gradient run per (workload, engine) cell — the full-mesh plain cells
-// are the ISSUE 6 acceptance workload; ISSUE 8 added two engine-only
-// widening cells (staggered full mesh at n = 1024, fault-isolating deg-16
-// expander at n = 2048) — timed wall-clock and reduced to ns/round +
-// rounds/sec.  The
-// event engine is the measured reference for every workload; the `speedup`
+// One best-of-3 gradient run per (workload, engine) cell — the full-mesh
+// plain cells, plus two engine-only widening cells (staggered full mesh at
+// n = 1024, fault-isolating deg-16 expander at n = 2048) — timed wall-clock
+// and reduced to ns/round + rounds/sec.  The event engine is the measured reference for every workload; the `speedup`
 // field is fastpath-rounds-per-sec / event-rounds-per-sec per key.  CI
 // uploads the file on every run to seed the bench history; timing rows are
 // telemetry, not gates (the deterministic gates live in --smoke) — except
@@ -1070,30 +1110,50 @@ std::vector<FastpathCell> measure_fastpath_cells(std::int32_t max_n) {
     workloads.push_back(std::move(region));
   }
 
+  // Best of kCellReps per cell, as bench_sweep --pdes-json does: a single
+  // sample is at the mercy of the host scheduler, and the 0.8x ratio gate
+  // sat within one sample's noise.  Repetitions sweep the whole cell list,
+  // so a noisy stretch of host time costs each cell at most one sample
+  // instead of all of them.  The runs are deterministic, so the
+  // repetitions only filter the clock.
+  constexpr int kCellReps = 3;
   std::vector<FastpathCell> cells;
-  for (const Workload& w : workloads) {
-    for (const analysis::EngineMode engine :
-         {analysis::EngineMode::kEvent, analysis::EngineMode::kFastpath}) {
-      analysis::RunSpec spec = w.spec;
-      spec.engine = engine;
-      const auto start = std::chrono::steady_clock::now();
-      analysis::Experiment experiment(spec);
-      const analysis::RunResult result = experiment.run();
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      const double events =
-          static_cast<double>(experiment.simulator().events_processed());
-      cells.push_back({w.key, w.variant, w.spec.params.n,
-                       engine == analysis::EngineMode::kEvent ? "event"
-                                                              : "fastpath",
-                       result.completed_rounds, result.fastpath_engaged, wall,
-                       result.engine_seconds > 0.0
-                           ? events / result.engine_seconds
-                           : 0.0});
-      std::cerr << "  " << w.key << " engine=" << cells.back().engine << " "
-                << result.completed_rounds << " rounds in " << wall << " s\n";
+  for (int rep = 0; rep < kCellReps; ++rep) {
+    std::size_t c = 0;
+    for (const Workload& w : workloads) {
+      for (const analysis::EngineMode engine :
+           {analysis::EngineMode::kEvent, analysis::EngineMode::kFastpath}) {
+        analysis::RunSpec spec = w.spec;
+        spec.engine = engine;
+        const auto start = std::chrono::steady_clock::now();
+        analysis::Experiment experiment(spec);
+        const analysis::RunResult result = experiment.run();
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+        const double events =
+            static_cast<double>(experiment.simulator().events_processed());
+        const double events_per_sec = result.engine_seconds > 0.0
+                                          ? events / result.engine_seconds
+                                          : 0.0;
+        if (rep == 0) {
+          cells.push_back({w.key, w.variant, w.spec.params.n,
+                           engine == analysis::EngineMode::kEvent ? "event"
+                                                                  : "fastpath",
+                           result.completed_rounds, result.fastpath_engaged,
+                           wall, events_per_sec});
+        } else {
+          cells[c].wall_s = std::min(cells[c].wall_s, wall);
+          cells[c].events_per_sec =
+              std::max(cells[c].events_per_sec, events_per_sec);
+        }
+        std::cerr << "  rep " << rep + 1 << "/" << kCellReps << " " << w.key
+                  << " engine=" << cells[c].engine << " "
+                  << result.completed_rounds << " rounds in " << wall
+                  << " s\n";
+        ++c;
+      }
     }
   }
   return cells;
@@ -1136,7 +1196,7 @@ int run_fastpath_json(const util::Flags& flags) {
   json << "{\n  \"workload\": \"gradient run, P=10, seed 9; plain cells "
           "full mesh with gradient measurement, stagger/region cells "
           "engine-only (sigma=1e-4 mesh; deg-16 expander, 2 silent "
-          "random, 48 rounds)\",\n"
+          "random, 48 rounds); best of 3 wall per cell\",\n"
        << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const FastpathCell& c = cells[i];

@@ -60,7 +60,10 @@
 //               was declined ("-" when it ran or was never consulted;
 //               commas become ';' so reasons stay one field), and
 //               pdes_epochs / pdes_stalls record the conservative
-//               protocol's windows and empty windows per trial.
+//               protocol's windows and empty windows per trial, and
+//               pdes_cross / pdes_inline / pdes_window_sum what the lane
+//               map costs: messages that crossed lanes, how many of them
+//               mid-window polls ingested, and the summed window widths.
 //   --workers   PDES shard/worker-count axis (comma list).  0 (the
 //               default) hands the shard count to the stall-aware
 //               auto-tuner (engine::choose_pdes_workers; it may decline
@@ -154,6 +157,7 @@ void write_csv_header(std::ostream& out) {
          "diverged,gradient_slope,gradient_diameter,gradient_far_skew,"
          "nic_dropped,nic_drop_rate,nic_peak_queue,nic_max_burst,"
          "hist_peak_mb,fastpath,fastpath_refusal,pdes_epochs,pdes_stalls,"
+         "pdes_cross,pdes_inline,pdes_window_sum,"
          "pdes_refusal,wall_s,engine_s,rounds_per_sec\n";
 }
 
@@ -186,6 +190,9 @@ int run_pdes_json(const util::Flags& flags) {
     std::int32_t rounds;
     std::int64_t epochs;
     std::int64_t stalls;
+    std::int64_t cross;   // messages that crossed lanes
+    std::int64_t inline_drained;  // of those, ingested by mid-window polls
+    double window_sum;    // summed epoch window widths (seconds)
     double wall_s;    // full run_experiment (setup + engine + measurement)
     double engine_s;  // engine span only — the speedup map uses this
     std::uint64_t events;  // events dispatched (deterministic per cell)
@@ -248,7 +255,9 @@ int run_pdes_json(const util::Flags& flags) {
     }
     cells.push_back({key, topo, n, workers, result.pdes_workers_used,
                      result.completed_rounds, result.pdes_epochs,
-                     result.pdes_stalls, wall, engine, events});
+                     result.pdes_stalls, result.pdes_cross_messages,
+                     result.pdes_inline_drained, result.pdes_window_sum, wall,
+                     engine, events});
     std::cerr << "  " << topo << " n=" << n << " workers="
               << (workers < 0 ? std::string("auto(") +
                                     std::to_string(result.pdes_workers_used) +
@@ -326,7 +335,13 @@ int run_pdes_json(const util::Flags& flags) {
          << "\", \"workers\": " << c.workers
          << ", \"workers_used\": " << c.workers_used
          << ", \"rounds\": " << c.rounds << ", \"pdes_epochs\": " << c.epochs
-         << ", \"pdes_stalls\": " << c.stalls << ", \"wall_s\": " << c.wall_s
+         << ", \"pdes_stalls\": " << c.stalls;
+    if (c.workers != 0) {
+      json << ", \"pdes_cross\": " << c.cross
+           << ", \"pdes_inline\": " << c.inline_drained
+           << ", \"pdes_window_sum\": " << c.window_sum;
+    }
+    json << ", \"wall_s\": " << c.wall_s
          << ", \"engine_s\": " << c.engine_s
          << ", \"rounds_per_sec\": " << rate(c);
     if (c.workers == 0) {
@@ -610,7 +625,8 @@ int main(int argc, char** argv) {
         << static_cast<double>(r.observe.peak_history_bytes) / (1024.0 * 1024.0)
         << ',' << (r.fastpath_engaged ? 1 : 0) << ','
         << bench::refusal_csv(r.fastpath_refusal) << ',' << r.pdes_epochs
-        << ',' << r.pdes_stalls << ','
+        << ',' << r.pdes_stalls << ',' << r.pdes_cross_messages << ','
+        << r.pdes_inline_drained << ',' << r.pdes_window_sum << ','
         << bench::refusal_csv(r.pdes_refusal) << ',' << r.wall_seconds << ','
         << r.engine_seconds << ','
         << (r.wall_seconds > 0.0 ? r.completed_rounds / r.wall_seconds : 0.0)

@@ -599,6 +599,9 @@ RunResult Experiment::run() {
       trace_.absorb_all(lane_traces);
       result.pdes_epochs = pdes.stats().epochs;
       result.pdes_stalls = pdes.stats().stalls;
+      result.pdes_cross_messages = pdes.stats().cross_messages;
+      result.pdes_inline_drained = pdes.stats().inline_drained;
+      result.pdes_window_sum = pdes.stats().window_sum;
       result.pdes_workers_used = pdes.stats().shards;
     } else if (spec_.engine == EngineMode::kPdes) {
       throw std::invalid_argument(

@@ -435,6 +435,13 @@ struct RunResult {
   /// run.  Like wall_seconds, NOT part of results_identical.
   std::int64_t pdes_epochs = 0;
   std::int64_t pdes_stalls = 0;
+  /// What the lane map costs and buys (engine::PdesStats): messages that
+  /// crossed lanes, how many of those mid-window polls ingested, and the
+  /// summed window widths (window_sum / epochs is the mean window).  Zero
+  /// when the engine didn't run.  Telemetry, NOT part of results_identical.
+  std::int64_t pdes_cross_messages = 0;
+  std::int64_t pdes_inline_drained = 0;
+  double pdes_window_sum = 0.0;
   /// Shard/worker count the PDES engine actually ran with (the auto-tuner's
   /// pick when pdes_workers <= 0).  Zero when the engine didn't run.
   /// Telemetry, NOT part of results_identical.

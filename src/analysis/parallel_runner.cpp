@@ -319,12 +319,12 @@ bool results_identical(const RunResult& a, const RunResult& b) {
          gradient_summaries_identical(a.gradient, b.gradient);
   // wall_seconds, the ObserveStats telemetry, the fast-path telemetry
   // (fastpath_engaged / fastpath_exchanges / fastpath_rearms), and the PDES
-  // telemetry (pdes_epochs / pdes_stalls) are deliberately excluded: they
-  // describe how the run was computed and measured (timing, history
-  // footprint, engine selection, shard-protocol windows), not what it
-  // measured — retained and bounded observe runs, and event-engine,
-  // fast-path, and sharded-PDES runs, of identical physics intentionally
-  // differ there.
+  // telemetry (pdes_epochs / pdes_stalls / pdes_cross_messages / ...) are
+  // deliberately excluded: they describe how the run was computed and
+  // measured (timing, history footprint, engine selection, shard-protocol
+  // windows), not what it measured — retained and bounded observe runs,
+  // and event-engine, fast-path, and sharded-PDES runs, of identical
+  // physics intentionally differ there.
 }
 
 }  // namespace wlsync::analysis

@@ -21,6 +21,8 @@ struct RoundEvent {
   double real_time = 0.0;
   double value = 0.0;   ///< label for begins; ADJ for updates
   double value2 = 0.0;  ///< AV for updates
+
+  bool operator==(const RoundEvent&) const = default;
 };
 
 class RoundTrace final : public sim::TraceSink {
@@ -40,6 +42,12 @@ class RoundTrace final : public sim::TraceSink {
   }
   [[nodiscard]] const std::vector<RoundEvent>& joins() const noexcept {
     return joins_;
+  }
+  /// Same begins, updates and joins, event by event — how engine pins
+  /// compare a sharded or batched execution's trace with the serial one.
+  [[nodiscard]] bool same_events(const RoundTrace& other) const {
+    return begins_ == other.begins_ && updates_ == other.updates_ &&
+           joins_ == other.joins_;
   }
 
   /// Real times at which each of `ids` began round `round`; empty entry

@@ -82,6 +82,10 @@ class WelchLynchProcess final : public proc::Process {
   void on_start(proc::Context& ctx) override;
   void on_timer(proc::Context& ctx, std::int32_t tag) override;
   void on_message(proc::Context& ctx, const sim::Message& m) override;
+  /// id * sigma (Section 9.3); 0 without stagger.
+  [[nodiscard]] double broadcast_phase(std::int32_t id) const override {
+    return static_cast<double>(id) * config_.stagger;
+  }
 
   /// Reintegration support (Section 9.1): adopt round state as if the
   /// process had just completed the update step for the round labelled

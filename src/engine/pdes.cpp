@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -250,13 +251,8 @@ struct PdesEngine::Shared {
     const std::int32_t n = sim.process_count();
     const sim::DelayModel& model = *sim.delay_;
 
-    // Engine boundary: cut endpoints plus every faulty process.  A
-    // partition without boundary data (hand-built) degrades to all-boundary,
-    // which is safe — it only disables the interior-hop widening.
-    boundary.assign(static_cast<std::size_t>(n), 1);
-    if (part.boundary.size() == static_cast<std::size_t>(n)) {
-      std::copy(part.boundary.begin(), part.boundary.end(), boundary.begin());
-    }
+    // Engine boundary: cut endpoints plus every faulty process.
+    boundary = part.boundary;
     std::vector<char> lane_faulty(static_cast<std::size_t>(k), 0);
     for (std::int32_t id = 0; id < n; ++id) {
       if (sim.is_faulty(id)) {
@@ -265,25 +261,15 @@ struct PdesEngine::Shared {
       }
     }
 
-    // L_j from the precomputed per-shard cut lists (direction matters:
-    // shard j's floor is over edges leaving j); fall back to a full
-    // cut-edge scan for partitions predating shard_cuts.
-    if (part.shard_cuts.size() == static_cast<std::size_t>(k)) {
-      for (std::int32_t s = 0; s < k; ++s) {
-        for (const std::int32_t e : part.shard_cuts[static_cast<std::size_t>(s)]) {
-          const auto [u, v] = part.cut_edges[static_cast<std::size_t>(e)];
-          const bool u_here = part.shard_of[static_cast<std::size_t>(u)] == s;
-          lane_floor[static_cast<std::size_t>(s)] =
-              std::min(lane_floor[static_cast<std::size_t>(s)],
-                       u_here ? model.lower_bound(u, v) : model.lower_bound(v, u));
-        }
-      }
-    } else {
-      for (const auto& [u, v] : part.cut_edges) {
-        const auto su = static_cast<std::size_t>(part.shard_of[static_cast<std::size_t>(u)]);
-        const auto sv = static_cast<std::size_t>(part.shard_of[static_cast<std::size_t>(v)]);
-        lane_floor[su] = std::min(lane_floor[su], model.lower_bound(u, v));
-        lane_floor[sv] = std::min(lane_floor[sv], model.lower_bound(v, u));
+    // L_j from the per-shard cut lists (direction matters: shard j's
+    // floor is over edges leaving j).
+    for (std::int32_t s = 0; s < k; ++s) {
+      for (const std::int32_t e : part.shard_cuts[static_cast<std::size_t>(s)]) {
+        const auto [u, v] = part.cut_edges[static_cast<std::size_t>(e)];
+        const bool u_here = part.shard_of[static_cast<std::size_t>(u)] == s;
+        lane_floor[static_cast<std::size_t>(s)] =
+            std::min(lane_floor[static_cast<std::size_t>(s)],
+                     u_here ? model.lower_bound(u, v) : model.lower_bound(v, u));
       }
     }
     for (std::int32_t s = 0; s < k; ++s) {
@@ -444,11 +430,13 @@ PdesEngine::PdesEngine(sim::Simulator& sim, const net::Partition& partition,
   if (reason != nullptr) {
     throw std::invalid_argument(std::string("PdesEngine: ") + reason);
   }
-  shared_ = std::make_unique<Shared>(*this, partition.k, options.adaptive);
-  shared_->init_floors(partition);
-  setup(partition, lane_sinks);
+  const std::optional<net::Partition> phased = phase_lanes(sim_, partition);
+  const net::Partition& lanes = phased.has_value() ? *phased : partition;
+  shared_ = std::make_unique<Shared>(*this, lanes.k, options.adaptive);
+  shared_->init_floors(lanes);
+  setup(lanes, lane_sinks);
   stats_.lookahead = shared_->static_lookahead;
-  stats_.shards = partition.k;
+  stats_.shards = lanes.k;
   live_ = true;
 }
 
@@ -476,12 +464,87 @@ double PdesEngine::lookahead_for(const sim::Simulator& sim,
   return floor;
 }
 
+std::optional<net::Partition> PdesEngine::phase_lanes(
+    const sim::Simulator& sim, const net::Partition& partition) {
+  const std::int32_t n = sim.process_count();
+  const std::int32_t k = partition.k;
+  if (k < 2 || partition.n() != n || !sim.config_.topology.has_value()) {
+    return std::nullopt;
+  }
+  std::vector<double> phase(static_cast<std::size_t>(n), kInf);
+  double lo = kInf;
+  double hi = -kInf;
+  for (std::int32_t id = 0; id < n; ++id) {
+    if (sim.is_faulty(id)) continue;
+    const double p = sim.nodes_[static_cast<std::size_t>(id)]
+                         .process->broadcast_phase(id);
+    phase[static_cast<std::size_t>(id)] = p;
+    lo = std::min(lo, p);
+    hi = std::max(hi, p);
+  }
+  // A span inside one static window keeps every shard busy in every
+  // window already.
+  const double lookahead = lookahead_for(sim, partition);
+  if (!(hi - lo > lookahead)) return std::nullopt;
+
+  // R regions per lane: one per lookahead window of the phase span, so
+  // consecutive windows land on different lanes, but no region thinner
+  // than the auto-tuner's lane floor (thin regions only add cut edges).
+  const double windows = std::ceil((hi - lo) / lookahead);
+  const std::int32_t thickest = n / (k * kMinLaneSize);
+  const std::int32_t per_lane =
+      windows < static_cast<double>(thickest) ? static_cast<std::int32_t>(windows)
+                                              : thickest;
+  if (per_lane < 2) return std::nullopt;
+
+  const net::Topology& topo = *sim.config_.topology;
+  const net::Partition regions =
+      net::partition_topology(topo, k * per_lane, partition.seed);
+  // A region's phase is its earliest honest broadcast; deal the regions to
+  // lanes round-robin in phase order (ties: region index).
+  std::vector<double> start(static_cast<std::size_t>(regions.k), kInf);
+  for (std::int32_t id = 0; id < n; ++id) {
+    auto& s = start[static_cast<std::size_t>(
+        regions.shard_of[static_cast<std::size_t>(id)])];
+    s = std::min(s, phase[static_cast<std::size_t>(id)]);
+  }
+  std::vector<std::int32_t> order(static_cast<std::size_t>(regions.k));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::int32_t a, std::int32_t b) {
+                     return start[static_cast<std::size_t>(a)] <
+                            start[static_cast<std::size_t>(b)];
+                   });
+  std::vector<std::int32_t> lane_of_region(static_cast<std::size_t>(regions.k));
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    lane_of_region[static_cast<std::size_t>(order[rank])] =
+        static_cast<std::int32_t>(rank % static_cast<std::size_t>(k));
+  }
+
+  net::Partition lanes;
+  lanes.k = k;
+  lanes.seed = partition.seed;
+  lanes.shard_of.resize(static_cast<std::size_t>(n));
+  for (std::int32_t id = 0; id < n; ++id) {
+    lanes.shard_of[static_cast<std::size_t>(id)] = lane_of_region[
+        static_cast<std::size_t>(regions.shard_of[static_cast<std::size_t>(id)])];
+  }
+  net::build_cuts(topo, lanes);
+  // The wider cut must still promise a positive floor (per-link models).
+  if (!(lookahead_for(sim, lanes) > 0.0)) return std::nullopt;
+  return lanes;
+}
+
 const char* PdesEngine::ineligible_reason(const sim::Simulator& sim,
                                           const net::Partition& partition) {
   if (sim.process_count() == 0) return "no processes registered";
   if (sim.has_dynamics()) return "dynamic-topology schedule installed";
   if (partition.n() != sim.process_count()) {
     return "partition node count does not match process count";
+  }
+  if (partition.shard_cuts.size() != static_cast<std::size_t>(partition.k) ||
+      partition.boundary.size() != partition.shard_of.size()) {
+    return "partition has no cut lists (complete it with net::build_cuts)";
   }
   if (!sim.shard_lanes_.empty()) return "shard lanes already live";
   if (sim.observer_ != nullptr) {

@@ -2,9 +2,10 @@
 // Conservative parallel discrete-event engine (PDES) over topology shards.
 //
 // The serial engine dispatches one global (time, tier, seq) order.  This
-// engine partitions the process set into K shards (net/partition.h), gives
-// each shard a private Simulator::Lane — event pool, scheduler, fan-out
-// pool, clock — and a worker thread, and advances all lanes concurrently
+// engine partitions the process set into K lanes (net/partition.h shards,
+// or phase-ordered regions of them: "Lane assignment" below), gives each
+// lane a private Simulator::Lane — event pool, scheduler, fan-out pool,
+// clock — and a worker thread, and advances all lanes concurrently
 // under the classic conservative-synchronization guarantee: a message
 // crossing the cut, sent at time >= T, arrives at >= T + L for the cut's
 // delay floor L, so everything strictly below the folded bound is safe to
@@ -50,6 +51,38 @@
 // event anywhere: the inter-round gap, where no boundary process has
 // anything pending, collapses into one epoch.
 //
+// Lane assignment.  By default lane j hosts shard j of the partition.
+// That balances lanes per run, but under the Section 9.3 stagger (process
+// p broadcasts at base + p*sigma) each connected shard of an id-ordered
+// topology is active in its own stretch of the round: with the window held
+// near the global delay floor, only one lane has work at a time and the
+// lanes take turns.  So when the honest processes' broadcast phases
+// (proc::Process::broadcast_phase) span more than the static lookahead,
+// the engine balances lanes per window instead (phase_lanes):
+//
+//   regions   partition_topology(topo, k*R, partition.seed): connected
+//             regions, R per lane, with R = ceil(phase span / lookahead)
+//             (one region per window of the span) capped so no region is
+//             thinner than the auto-tuner's 64-process lane floor (no
+//             split when that leaves R < 2);
+//   order     regions sorted by their earliest honest phase;
+//   deal      region of rank r -> lane r mod k, so consecutive stretches
+//             of the round land on different lanes;
+//   cuts      net::build_cuts derives the lane cut, boundary and per-lane
+//             cut lists, and the floors fold from them exactly as for a
+//             partition's own shards.
+//
+// Unstaggered specs (every phase equal), single-shard partitions and the
+// implicit full mesh (no topology: every balanced lane split cuts the same
+// edges) keep lane = partition.shard_of, with the same floors, epochs and
+// stalls.  The lane count stays k (PdesStats::shards), and the map is a
+// pure function of (topology, partition, phases, faults), so any caller
+// handing the engine the same partition gets the same lanes.  On a ring of
+// 64-cliques (n = 4096, 8 random two-faced faults, sigma = 1e-4, 12 rounds)
+// at k = 2 the id-contiguous shards stalled in 324 of 802 lane-epochs;
+// the phase-dealt lanes stall in 2 of 1274 (epochs 401 -> 637, nearly all
+// of them busy on both lanes).
+//
 // Bit-identity (the whole point): per-origin seq allocation, per-sender
 // delay streams and the store-and-forward NIC make the event order
 // intrinsic to each process' execution rather than to a global insertion
@@ -64,6 +97,7 @@
 // throws ("PDES causality violation") rather than reordering.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +122,8 @@ struct PdesStats {
   /// Sum over epochs of (window limit - T): average adaptive widening is
   /// window_sum / epochs - lookahead.
   double window_sum = 0.0;
+  /// Lanes (= worker threads) the run used: the partition's k, whatever
+  /// the lane map.
   std::int32_t shards = 0;
 };
 
@@ -130,8 +166,9 @@ class PdesTuner {
   struct Impl;
 };
 
-/// One parallel run over an existing Simulator.  Construction shards the
-/// simulator's pending events into per-shard lanes; run_until drives the
+/// One parallel run over an existing Simulator.  Construction derives the
+/// lane map (see "Lane assignment" above) and moves the simulator's pending
+/// events into per-lane queues; run_until drives the
 /// epoch loop with one worker thread per shard; destruction (or run_until
 /// completing, whichever comes first) dissolves the lanes back into the
 /// serial main lane, so the Simulator afterwards is indistinguishable from
@@ -139,8 +176,8 @@ class PdesTuner {
 /// horizon on the event engine.
 class PdesEngine {
  public:
-  /// `lane_sinks[i]` (optional, may be empty) is attached as shard i's
-  /// trace sink; per-lane sinks see only their shard's events, in lane
+  /// `lane_sinks[i]` (optional, may be empty) is attached as lane i's
+  /// trace sink; per-lane sinks see only their lane's events, in lane
   /// order, and the caller merges afterwards (RoundTrace::absorb).  The
   /// simulator's own main-lane sinks see nothing while the engine runs.
   PdesEngine(sim::Simulator& sim, const net::Partition& partition,
@@ -163,6 +200,12 @@ class PdesEngine {
   /// window is never narrower than this.
   [[nodiscard]] static double lookahead_for(const sim::Simulator& sim,
                                             const net::Partition& partition);
+
+  /// The lane map the engine runs `partition` on, or nullopt when lane =
+  /// partition.shard_of (see "Lane assignment" above).  Deterministic in
+  /// (topology, partition, broadcast phases, fault set).
+  [[nodiscard]] static std::optional<net::Partition> phase_lanes(
+      const sim::Simulator& sim, const net::Partition& partition);
 
   /// Runs every event with time <= horizon, in parallel, then dissolves the
   /// lanes.  Throws (after restoring the serial lane) on causality

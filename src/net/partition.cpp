@@ -266,40 +266,17 @@ void refine(const Topology& topo, std::vector<std::int32_t>& shard_of,
 
 }  // namespace
 
-Partition partition_topology(const Topology& topo, std::int32_t k,
-                             std::uint64_t seed) {
-  const std::int32_t n = topo.n();
-  if (n <= 0) {
-    throw std::invalid_argument("partition_topology: empty topology");
-  }
-  Partition part;
-  part.k = std::clamp<std::int32_t>(k, 1, n);
-  part.shard_of.assign(static_cast<std::size_t>(n), kUnassigned);
+void build_cuts(const Topology& topo, Partition& part) {
+  const std::int32_t n = part.n();
   part.shard_sizes.assign(static_cast<std::size_t>(part.k), 0);
-
-  part.boundary.assign(static_cast<std::size_t>(n), 0);
+  for (const std::int32_t s : part.shard_of) {
+    ++part.shard_sizes[static_cast<std::size_t>(s)];
+  }
+  part.cut_edges.clear();
   part.shard_cuts.assign(static_cast<std::size_t>(part.k), {});
-
-  if (part.k == 1) {
-    std::fill(part.shard_of.begin(), part.shard_of.end(), 0);
-    part.shard_sizes[0] = n;
-    return part;
-  }
-
-  const std::vector<std::int32_t> seeds = pick_seeds(topo, part.k, seed);
-  grow_regions(topo, seeds, part.shard_of, part.shard_sizes);
-  absorb_stray_components(topo, part.shard_of, part.shard_sizes);
-
-  // Refine on a copy; adopt only if no shard got disconnected.
-  std::vector<std::int32_t> refined = part.shard_of;
-  std::vector<std::int32_t> refined_sizes = part.shard_sizes;
-  refine(topo, refined, refined_sizes, part.k);
-  if (refined != part.shard_of &&
-      shards_connected(topo, refined, part.k)) {
-    part.shard_of = std::move(refined);
-    part.shard_sizes = std::move(refined_sizes);
-  }
-
+  part.boundary.assign(static_cast<std::size_t>(n), 0);
+  part.internal_edges = 0;
+  if (part.k == 1) return;
   for (std::int32_t u = 0; u < n; ++u) {
     const std::int32_t su = part.shard_of[static_cast<std::size_t>(u)];
     for (const std::int32_t v : topo.neighbors(u)) {
@@ -317,6 +294,41 @@ Partition partition_topology(const Topology& topo, std::int32_t k,
       }
     }
   }
+}
+
+Partition partition_topology(const Topology& topo, std::int32_t k,
+                             std::uint64_t seed) {
+  const std::int32_t n = topo.n();
+  if (n <= 0) {
+    throw std::invalid_argument("partition_topology: empty topology");
+  }
+  Partition part;
+  part.k = std::clamp<std::int32_t>(k, 1, n);
+  part.seed = seed;
+  part.shard_of.assign(static_cast<std::size_t>(n), kUnassigned);
+  part.shard_sizes.assign(static_cast<std::size_t>(part.k), 0);
+
+  if (part.k == 1) {
+    std::fill(part.shard_of.begin(), part.shard_of.end(), 0);
+    build_cuts(topo, part);
+    return part;
+  }
+
+  const std::vector<std::int32_t> seeds = pick_seeds(topo, part.k, seed);
+  grow_regions(topo, seeds, part.shard_of, part.shard_sizes);
+  absorb_stray_components(topo, part.shard_of, part.shard_sizes);
+
+  // Refine on a copy; adopt only if no shard got disconnected.
+  std::vector<std::int32_t> refined = part.shard_of;
+  std::vector<std::int32_t> refined_sizes = part.shard_sizes;
+  refine(topo, refined, refined_sizes, part.k);
+  if (refined != part.shard_of &&
+      shards_connected(topo, refined, part.k)) {
+    part.shard_of = std::move(refined);
+    part.shard_sizes = std::move(refined_sizes);
+  }
+
+  build_cuts(topo, part);
   return part;
 }
 

@@ -9,6 +9,15 @@
 // cut.  So the partitioner's one job is minimizing cut edges while keeping
 // shards balanced and internally connected.
 //
+// Balanced per run is not balanced per window, though.  The engine may run
+// a partition on a different lane map: under staggered broadcasts it asks
+// this partitioner for k*R smaller regions (same seed) and deals them to
+// its k lanes in broadcast-phase order (engine/pdes.h, "Lane
+// assignment").  Callers hand the engine a k-shard partition either way;
+// the lane map is the engine's business, and build_cuts below is the one
+// place either kind of assignment gets its cut, boundary and per-shard
+// cut lists.
+//
 // The algorithm is METIS-shaped greedy growth, specialized to the exchange
 // graphs this codebase builds:
 //
@@ -58,6 +67,10 @@ struct Partition {
   /// cut_edges.size() this is the cut fraction the worker auto-tuner scores
   /// candidate shard counts by.  0 when k == 1 (no edge scan happens).
   std::int64_t internal_edges = 0;
+  /// The seed partition_topology drew with.  The PDES engine grows its
+  /// phase regions (engine/pdes.h) with the same seed, so every caller
+  /// that passes it the same partition gets the same lane map.
+  std::uint64_t seed = 0;
 
   [[nodiscard]] std::int32_t n() const noexcept {
     return static_cast<std::int32_t>(shard_of.size());
@@ -70,5 +83,11 @@ struct Partition {
 /// shard (connectivity within a shard then mirrors the input's).
 [[nodiscard]] Partition partition_topology(const Topology& topo, std::int32_t k,
                                            std::uint64_t seed);
+
+/// Fills shard_sizes, cut_edges, shard_cuts, boundary and internal_edges
+/// from part.k and part.shard_of (every entry in [0, k)).  The one cut
+/// builder: partition_topology ends with it, and the PDES engine builds
+/// its phase-ordered lane map with it.  No edge scan when k == 1.
+void build_cuts(const Topology& topo, Partition& part);
 
 }  // namespace wlsync::net

@@ -27,6 +27,16 @@ class Process {
 
   /// Ordinary message from process `m.from`.
   virtual void on_message(Context& ctx, const sim::Message& m) = 0;
+
+  /// Real-time offset of process `id`'s broadcasts within a round: id*sigma
+  /// under the Section 9.3 stagger, 0 (the default, and every adversary)
+  /// when everyone broadcasts at the round base.  Read once by the PDES
+  /// engine to deal topology regions to lanes by phase (engine/pdes.h);
+  /// never consulted by the simulation itself.
+  [[nodiscard]] virtual double broadcast_phase(std::int32_t id) const {
+    (void)id;
+    return 0.0;
+  }
 };
 
 using ProcessPtr = std::unique_ptr<Process>;

@@ -160,24 +160,6 @@ TEST(IndexedEventQueue, MatchesReferenceUnderRandomInterleaving) {
 // --------------------------------------------------------------------------
 // Whole-execution identity run over run.
 
-bool traces_identical(const analysis::RoundTrace& a,
-                      const analysis::RoundTrace& b) {
-  auto same = [](const std::vector<analysis::RoundEvent>& u,
-                 const std::vector<analysis::RoundEvent>& v) {
-    if (u.size() != v.size()) return false;
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      if (u[i].pid != v[i].pid || u[i].round != v[i].round ||
-          u[i].real_time != v[i].real_time || u[i].value != v[i].value ||
-          u[i].value2 != v[i].value2) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return same(a.begins(), b.begins()) && same(a.updates(), b.updates()) &&
-         same(a.joins(), b.joins());
-}
-
 analysis::RunSpec base_spec() {
   analysis::RunSpec spec;
   spec.params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
@@ -195,7 +177,7 @@ TEST(SchedulerDeterminism, RepeatedRunsAreIdentical) {
   const analysis::RunResult r1 = first.run();
   const analysis::RunResult r2 = second.run();
   EXPECT_TRUE(analysis::results_identical(r1, r2));
-  EXPECT_TRUE(traces_identical(first.trace(), second.trace()));
+  EXPECT_TRUE(first.trace().same_events(second.trace()));
 }
 
 }  // namespace

@@ -180,6 +180,35 @@ TEST(PartitionTest, DeterministicInTopologyKAndSeed) {
   EXPECT_EQ(a.cut_edges, b.cut_edges);
 }
 
+TEST(PartitionTest, BuildCutsCompletesAnyAssignment) {
+  // build_cuts is the one cut builder: the partitioner ends with it, and
+  // the PDES engine feeds it disconnected lane maps (phase regions dealt
+  // round-robin).  Every derived field must follow from shard_of alone.
+  const Topology topo = Topology::ring_of_cliques(60, 5);
+  Partition part;
+  part.k = 3;
+  for (std::int32_t u = 0; u < topo.n(); ++u) part.shard_of.push_back(u % 3);
+  build_cuts(topo, part);
+  expect_valid(topo, part, "round-robin assignment");
+  ASSERT_EQ(part.shard_cuts.size(), 3u);
+  std::vector<char> boundary(static_cast<std::size_t>(topo.n()), 0);
+  for (std::size_t e = 0; e < part.cut_edges.size(); ++e) {
+    const auto [u, v] = part.cut_edges[e];
+    boundary[static_cast<std::size_t>(u)] = 1;
+    boundary[static_cast<std::size_t>(v)] = 1;
+    for (const std::int32_t end : {u, v}) {
+      const auto& list = part.shard_cuts[static_cast<std::size_t>(
+          part.shard_of[static_cast<std::size_t>(end)])];
+      EXPECT_TRUE(std::binary_search(list.begin(), list.end(),
+                                     static_cast<std::int32_t>(e)));
+    }
+  }
+  EXPECT_EQ(part.boundary, boundary);
+  EXPECT_EQ(static_cast<std::size_t>(part.internal_edges) +
+                part.cut_edges.size(),
+            undirected_edges(topo).size());
+}
+
 // -------------------------------------------------------------- degenerate ---
 
 TEST(PartitionTest, KClampsToN) {

@@ -8,17 +8,22 @@
 // serial one that no measured quantity can detect.  Swept here across
 // topologies, delay models (each with a different lookahead floor), fault
 // mixes with adversaries placed ON the cut joints, NIC ingress, and
-// worker counts 1 / 2 / 8.  The second half pins the dispatcher: kAuto
+// worker counts 1 / 2 / 8.  The staggered cases pin the phase-ordered lane
+// map: identical physics and traces at 2 / 3 / 4 workers, lanes that differ
+// from the shards, fewer stalls, and the shard map kept when every process
+// broadcasts at the round base.  The last part pins the dispatcher: kAuto
 // prefers the fast path, falls back to PDES with an explicit worker count
 // (pdes_workers >= 2) or the auto-tuner's pick (pdes_workers <= 0, the
 // default), and kPdes refuses ineligible specs loudly.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/parallel_runner.h"
 #include "engine/pdes.h"
+#include "net/partition.h"
 
 namespace wlsync::analysis {
 namespace {
@@ -169,6 +174,100 @@ TEST(PdesPin, DeterministicUnderParallelRunner) {
   }
 }
 
+// ------------------------------------------------ staggered lane map ---
+
+/// The Section 9.3 stagger on a sparse Byzantine network: n = 512 ring of
+/// cliques, sigma = 1e-4 (a 51 ms phase span against the 9 ms global delay
+/// floor), four two-faced adversaries at random positions (which scopes
+/// their faces to their neighbors).  Id-contiguous shards are active in
+/// different stretches of the round here, so the engine deals
+/// phase-ordered regions to lanes instead (engine/pdes.h).
+RunSpec staggered_spec(std::int32_t clique, double stagger = 1e-4) {
+  RunSpec spec = base_spec(512, 170);
+  spec.topology.kind = net::TopologyKind::kRingOfCliques;
+  spec.topology.clique_size = clique;
+  spec.stagger = stagger;
+  spec.fault = FaultKind::kTwoFaced;
+  spec.fault_count = 4;
+  spec.placement = proc::PlacementKind::kRandom;
+  return spec;
+}
+
+/// The lane map PdesEngine derives for `spec` at `workers`, from the same
+/// partition Experiment::run hands it.
+std::optional<net::Partition> lanes_for(const RunSpec& spec,
+                                        std::int32_t workers,
+                                        net::Partition* shards) {
+  Experiment exp(spec);
+  *shards = net::partition_topology(exp.topology(), workers, spec.seed);
+  return engine::PdesEngine::phase_lanes(exp.simulator(), *shards);
+}
+
+TEST(PdesStagger, PhaseLanesReplayTheSerialExecution) {
+  for (const std::int32_t clique : {16, 32}) {
+    RunSpec spec = staggered_spec(clique);
+    spec.engine = EngineMode::kEvent;
+    Experiment serial(spec);
+    const RunResult reference = serial.run();
+    for (const std::int32_t workers : {2, 3, 4}) {
+      spec.engine = EngineMode::kPdes;
+      spec.pdes_workers = workers;
+      Experiment sharded(spec);
+      const RunResult pdes = sharded.run();
+      EXPECT_EQ(pdes.pdes_workers_used, workers);
+      EXPECT_TRUE(results_identical(reference, pdes))
+          << "clique " << clique << ", workers " << workers;
+      EXPECT_TRUE(serial.trace().same_events(sharded.trace()))
+          << "clique " << clique << ", workers " << workers;
+      EXPECT_GT(pdes.pdes_cross_messages, 0);
+      EXPECT_LE(pdes.pdes_inline_drained, pdes.pdes_cross_messages);
+      EXPECT_GT(pdes.pdes_window_sum, 0.0);
+    }
+  }
+}
+
+TEST(PdesStagger, LanesInterleaveAndStallsFall) {
+  // Stalled lane-epochs of the id-contiguous shard map (lane = shard_of)
+  // on these specs, indexed [clique 16 | 32][workers - 2].
+  constexpr std::int64_t kShardMapStalls[2][3] = {{9, 47, 71}, {17, 50, 98}};
+  for (const std::int32_t clique : {16, 32}) {
+    for (const std::int32_t workers : {2, 3, 4}) {
+      const RunSpec spec = staggered_spec(clique);
+      net::Partition shards;
+      const std::optional<net::Partition> lanes =
+          lanes_for(spec, workers, &shards);
+      ASSERT_TRUE(lanes.has_value()) << "clique " << clique;
+      EXPECT_EQ(lanes->k, workers);
+      EXPECT_NE(lanes->shard_of, shards.shard_of);
+      for (const std::int32_t size : lanes->shard_sizes) EXPECT_GT(size, 0);
+
+      const RunResult pdes = run_engine(spec, EngineMode::kPdes, workers);
+      const std::int64_t before =
+          kShardMapStalls[clique == 16 ? 0 : 1][workers - 2];
+      EXPECT_LT(pdes.pdes_stalls, before)
+          << "clique " << clique << ", workers " << workers;
+      // Below the tuner's demotion ceiling, per lane-epoch.
+      EXPECT_LE(static_cast<double>(pdes.pdes_stalls),
+                0.25 * static_cast<double>(pdes.pdes_epochs * workers));
+    }
+  }
+}
+
+TEST(PdesStagger, UnstaggeredSpecsKeepTheShardMap) {
+  // All phases equal: lane = shard_of, and the epoch/stall counts are the
+  // shard map's (17 windows, none idle).
+  for (const std::int32_t clique : {16, 32}) {
+    const RunSpec spec = staggered_spec(clique, /*stagger=*/0.0);
+    for (const std::int32_t workers : {2, 3, 4}) {
+      net::Partition shards;
+      EXPECT_FALSE(lanes_for(spec, workers, &shards).has_value());
+      const RunResult pdes = run_engine(spec, EngineMode::kPdes, workers);
+      EXPECT_EQ(pdes.pdes_epochs, 17) << "clique " << clique;
+      EXPECT_EQ(pdes.pdes_stalls, 0) << "clique " << clique;
+    }
+  }
+}
+
 // --------------------------------------------------- dispatch & telemetry ---
 
 TEST(PdesDispatch, AutoPrefersTheFastPath) {
@@ -277,6 +376,20 @@ TEST(PdesDispatch, ForcedPdesRefusesIneligibleSpecs) {
   observed.observe = true;
   EXPECT_THROW((void)run_engine(observed, EngineMode::kPdes, /*workers=*/4),
                std::invalid_argument);
+}
+
+TEST(PdesDispatch, RefusesAPartitionWithoutCutLists) {
+  // The lane floors fold from shard_cuts and boundary; a bare shard_of
+  // assignment is refused until net::build_cuts completes it.
+  Experiment exp(cliques_spec(24, 7));
+  net::Partition part;
+  part.k = 2;
+  for (std::int32_t id = 0; id < 24; ++id) part.shard_of.push_back(id / 12);
+  EXPECT_NE(engine::PdesEngine::ineligible_reason(exp.simulator(), part),
+            nullptr);
+  net::build_cuts(exp.topology(), part);
+  EXPECT_EQ(engine::PdesEngine::ineligible_reason(exp.simulator(), part),
+            nullptr);
 }
 
 TEST(PdesTelemetry, EpochsTrackTheLookaheadWindow) {

@@ -208,24 +208,6 @@ TEST(TopologyProperties, RandomExpandersSeededAndSane) {
 
 // ------------------------------------------------- fan-out bit-identity ---
 
-bool traces_identical(const analysis::RoundTrace& a,
-                      const analysis::RoundTrace& b) {
-  auto same = [](const std::vector<analysis::RoundEvent>& u,
-                 const std::vector<analysis::RoundEvent>& v) {
-    if (u.size() != v.size()) return false;
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      if (u[i].pid != v[i].pid || u[i].round != v[i].round ||
-          u[i].real_time != v[i].real_time || u[i].value != v[i].value ||
-          u[i].value2 != v[i].value2) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return same(a.begins(), b.begins()) && same(a.updates(), b.updates()) &&
-         same(a.joins(), b.joins());
-}
-
 RunSpec fanout_spec() {
   RunSpec spec;
   spec.params = core::make_params(7, 2, 1e-5, 0.01, 1e-3, 10.0);
@@ -249,7 +231,7 @@ void check_batched_matches_reference(RunSpec spec) {
   const RunResult batched_result = batched_run.run();
   const RunResult reference_result = reference_run.run();
   EXPECT_TRUE(analysis::results_identical(batched_result, reference_result));
-  EXPECT_TRUE(traces_identical(batched_run.trace(), reference_run.trace()));
+  EXPECT_TRUE(batched_run.trace().same_events(reference_run.trace()));
   EXPECT_GT(batched_run.trace().begins().size(), 0u);
   EXPECT_EQ(batched_run.simulator().messages_sent(),
             reference_run.simulator().messages_sent());
