@@ -276,12 +276,12 @@ void BM_SimulatorStepSchedulerBound(benchmark::State& state) {
 BENCHMARK(BM_SimulatorStepSchedulerBound);
 
 /// Queue pressure of the batched fan-out path vs the seed's per-recipient
-/// scheduling, n = 128 full mesh (ISSUE 2's acceptance metric).  Reported
-/// counters are per simulated round: scheduler push+pop operations, the
-/// pending-entry high-water mark, and direct (queue-bypassing) deliveries.
+/// scheduling, n = 128 full mesh.  Reported counters are per simulated
+/// round: scheduler operations (push, pop, in-place re-key), the pending-
+/// entry high-water mark, and re-keys that left the fan-out entry on top.
 /// arg0: 1 = batched, 0 = per-recipient; arg1: DelayKind (kSlow clusters a
-/// broadcast's deliveries at one instant — the regime the batching wins
-/// outright; kUniform spreads them, where the win is depth, not op count).
+/// broadcast's deliveries at one instant, so every re-key stays on top;
+/// kUniform spreads them, where the win is depth, not op count).
 void BM_BroadcastFanoutQueueOps(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
   const auto delay = static_cast<analysis::DelayKind>(state.range(1));
@@ -529,13 +529,12 @@ struct SmokeRow {
   bool pass = true;
 };
 
-/// Measured 2026-07 on the batched engine and re-confirmed 2026-08 after
-/// the per-lane scheduler refactor (engine/pdes.h): ~1323 scheduler
-/// ops/round for the n = 128 clustered-delay mesh (timers + one entry per
-/// broadcast; the per-recipient engine needs ~33k).  Ratcheted from the
-/// original 1460 to ~5% headroom; a real regression re-queues per
-/// recipient and lands ~25x over this.
-constexpr double kQueueOpsPerRoundLimit = 1390.0;
+/// Scheduler queue operations per round for the n = 128 clustered-delay
+/// mesh: pushes, pops and in-place fan-out re-keys, one op per delivery
+/// plus the timers — 28416 as measured.  ~5% headroom; a path that
+/// re-queues per recipient again pays a push and a pop per delivery and
+/// lands ~2x over.
+constexpr double kQueueOpsPerRoundLimit = 29800.0;
 
 /// Heap allocations per steady-state ingestion round (n = 512 full mesh,
 /// 10 measured rounds after warm-up).  The arena path is pinned at ZERO;
@@ -560,10 +559,10 @@ void smoke_alloc_rounds(std::vector<SmokeRow>& rows) {
 }
 
 /// Scheduler queue operations per round, batched fan-out, n = 128 full mesh
-/// under clustered (all-slow) delays — the PR 2 acceptance scenario.  The
-/// count is deterministic (fixed seed, integer event ordering); the limit
-/// carries ~10% headroom over the measured 2026-07 value so only a real
-/// regression (a path that starts re-queueing per recipient again) trips it.
+/// under clustered (all-slow) delays.  The count is deterministic (fixed
+/// seed, integer event ordering); the limit carries ~5% headroom so only a
+/// real regression (a path that starts re-queueing per recipient again)
+/// trips it.
 void smoke_queue_ops(std::vector<SmokeRow>& rows) {
   analysis::RunSpec spec;
   spec.params = core::make_params(128, 42, 1e-5, 0.01, 1e-3, 10.0);
@@ -577,6 +576,36 @@ void smoke_queue_ops(std::vector<SmokeRow>& rows) {
       static_cast<double>(experiment.simulator().queue_ops()) / 3.0;
   rows.push_back({"queue_ops_per_round_n128", per_round,
                   kQueueOpsPerRoundLimit, per_round <= kQueueOpsPerRoundLimit});
+}
+
+/// Queue pressure on the paper's own setting: a full mesh with n = 3f + 1,
+/// every fault a two-faced splitter in the trailing ids (n = 64, f = 21),
+/// run on the event engine.  Both values are exact functions of the code
+/// path and are pinned EXACTLY: each face group goes out as one batched
+/// multicast entry, and each delivery after a fan-out's first is one in-
+/// place re-key.  An adversary that queues one entry per victim, or a
+/// fan-out popped and pushed back per delivery, moves these counts.
+constexpr double kByzantineMeshPeakPending = 170.0;
+constexpr double kByzantineMeshQueueOpsPerRound = 6024.75;
+
+void smoke_byzantine_mesh_queue(std::vector<SmokeRow>& rows) {
+  analysis::RunSpec spec;
+  spec.params = core::make_params(64, 21, 1e-5, 0.01, 1e-3, 10.0);
+  spec.fault = analysis::FaultKind::kTwoFaced;
+  spec.fault_count = 21;
+  spec.rounds = 4;
+  spec.seed = 9;
+  analysis::Experiment experiment(spec);
+  experiment.simulator().run_until((spec.rounds + 2) * spec.params.P);
+  const auto peak = static_cast<double>(experiment.simulator().peak_pending());
+  const double per_round =
+      static_cast<double>(experiment.simulator().queue_ops()) / spec.rounds;
+  rows.push_back({"byzantine_mesh_peak_pending_n64", peak,
+                  kByzantineMeshPeakPending,
+                  peak == kByzantineMeshPeakPending});
+  rows.push_back({"byzantine_mesh_queue_ops_per_round_n64", per_round,
+                  kByzantineMeshQueueOpsPerRound,
+                  per_round == kByzantineMeshQueueOpsPerRound});
 }
 
 /// NIC overflow conservation on the clustered-broadcast worst case
@@ -887,13 +916,17 @@ void smoke_pdes_stalls(std::vector<SmokeRow>& rows) {
   rows.push_back({"pdes_epochs", static_cast<double>(result.pdes_epochs),
                   kPinnedEpochs,
                   static_cast<double>(result.pdes_epochs) == kPinnedEpochs});
+  // Per lane-epoch (epochs x lanes), the unit PdesTuner demotes on and the
+  // staggered rows below use.
   const double stall_rate =
-      result.pdes_epochs > 0 ? static_cast<double>(result.pdes_stalls) /
-                                   static_cast<double>(result.pdes_epochs)
-                             : 1.0;
-  // Ratcheted 0.5 -> 0.25 with ISSUE 10: the adaptive lookahead widens the
-  // inter-round gap into one epoch, and this spec now measures ZERO stalls
-  // (the old static window measured 6/18 = 0.33).  Beyond 0.25 the sharded
+      result.pdes_epochs > 0
+          ? static_cast<double>(result.pdes_stalls) /
+                (static_cast<double>(result.pdes_epochs) *
+                 static_cast<double>(spec.pdes_workers))
+          : 1.0;
+  // Ratcheted 0.5 -> 0.25 with the adaptive lookahead, which widens the
+  // inter-round gap into one epoch: this spec measures ZERO stalls (the old
+  // static window measured 6 stalls in 18 epochs).  Beyond 0.25 the sharded
   // engine is spinning on the epoch barrier instead of simulating.
   constexpr double kStallRateCeiling = 0.25;
   rows.push_back({"pdes_stall_rate", stall_rate, kStallRateCeiling,
@@ -994,6 +1027,7 @@ int run_smoke(const util::Flags& flags) {
   std::vector<SmokeRow> rows;
   smoke_alloc_rounds(rows);
   smoke_queue_ops(rows);
+  smoke_byzantine_mesh_queue(rows);
   smoke_nic_overflow(rows);
   smoke_observer_counters(rows);
   smoke_observer_history(rows);

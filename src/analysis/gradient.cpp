@@ -65,14 +65,19 @@ struct DistanceSweep {
 
 /// One shard's BFS and fold state, reused across the blocks it claims.
 /// visited/frontier/next hold one bit per block source for every node.
+/// With a non-null pair_level it also records every measured pair's level.
 class BlockSweeper {
  public:
   BlockSweeper(const net::Topology& topo,
                const std::vector<std::int32_t>& row_of,
-               const LocalTimeGrid* grid)
+               const LocalTimeGrid* grid, std::vector<std::uint16_t>* pair_level)
       : topo_(topo),
         row_of_(row_of),
         grid_(grid),
+        pair_level_(pair_level),
+        measured_(static_cast<std::size_t>(
+            std::count_if(row_of.begin(), row_of.end(),
+                          [](std::int32_t row) { return row >= 0; }))),
         cols_(grid != nullptr ? grid->cols : 0),
         visited_(row_of.size(), 0),
         frontier_(row_of.size(), 0),
@@ -82,7 +87,8 @@ class BlockSweeper {
 
   /// BFS from the sources base .. base + 63 at once, level by level; at
   /// level d, folds every measured pair (s, v) with s < v first reached at
-  /// d into out.  Throws std::invalid_argument if some node is unreachable.
+  /// d into out (and records d as the pair's level, when asked).  Throws
+  /// std::invalid_argument if some node is unreachable.
   void sweep(std::int32_t block, DistanceSweep& out) {
     const auto n = static_cast<std::int32_t>(row_of_.size());
     const std::int32_t base = block * kBlock;
@@ -109,6 +115,10 @@ class BlockSweeper {
             "gradient_series: topology is disconnected");
       }
       ++level;
+      if (pair_level_ != nullptr && level > 0xFFFF) {
+        throw std::invalid_argument(
+            "gradient: per-pair distance table needs a diameter below 65536");
+      }
       // Push: only nodes reached last level carry frontier bits.
       touched_.clear();
       for (const std::int32_t u : active_) {
@@ -146,6 +156,16 @@ class BlockSweeper {
         std::uint64_t pairs = fresh & measured_src & lower;
         if (pairs == 0) continue;
         out.count_by_raw[d] += std::popcount(pairs);
+        if (pair_level_ != nullptr) {
+          const auto rv = static_cast<std::size_t>(row_of_[v]);
+          for (std::uint64_t bits = pairs; bits != 0; bits &= bits - 1) {
+            const auto rs = static_cast<std::size_t>(
+                row_of_[static_cast<std::size_t>(base + std::countr_zero(bits))]);
+            (*pair_level_)[pair_slot(std::min(rs, rv), std::max(rs, rv),
+                                     measured_)] =
+                static_cast<std::uint16_t>(level);
+          }
+        }
         if (grid_ == nullptr) continue;
         const double* lv = grid_->values.data() +
                            static_cast<std::size_t>(row_of_[v]) * cols_;
@@ -194,6 +214,8 @@ class BlockSweeper {
   const net::Topology& topo_;
   const std::vector<std::int32_t>& row_of_;
   const LocalTimeGrid* grid_;
+  std::vector<std::uint16_t>* pair_level_;  // pair_slot -> level, or null
+  std::size_t measured_;                    // measured ids (pair_slot's m)
   std::size_t cols_;
   std::vector<std::uint64_t> visited_;
   std::vector<std::uint64_t> frontier_;  // zero outside a sweep
@@ -207,15 +229,18 @@ class BlockSweeper {
 /// Bit-parallel BFS from every node, 64 sources per block, blocks claimed
 /// dynamically by a ParallelRunner(threads) pool; threads = 1 is serial.
 /// Each worker sweeps into its own DistanceSweep; the merge is order-
-/// insensitive, so any thread count gives the identical result.
+/// insensitive, so any thread count gives the identical result.  A non-null
+/// `pair_level` (sized to the measured pair count) receives every measured
+/// pair's hop distance at its pair_slot.
 DistanceSweep sweep_all_sources(const net::Topology& topo,
                                 const std::vector<std::int32_t>& row_of,
-                                const LocalTimeGrid* grid, int threads) {
+                                const LocalTimeGrid* grid, int threads,
+                                std::vector<std::uint16_t>* pair_level) {
   const auto n = static_cast<std::int32_t>(row_of.size());
   const std::int32_t blocks = (n + kBlock - 1) / kBlock;
   std::atomic<std::int32_t> next_block{0};
   const auto work = [&](DistanceSweep& out) {
-    BlockSweeper sweeper(topo, row_of, grid);
+    BlockSweeper sweeper(topo, row_of, grid, pair_level);
     for (std::int32_t b = next_block++; b < blocks; b = next_block++) {
       sweeper.sweep(b, out);
     }
@@ -254,8 +279,21 @@ GradientAxis compact_axis(const DistanceSweep& sweep) {
 
 GradientAxis build_gradient_axis(const net::Topology& topo,
                                  const std::vector<std::int32_t>& ids) {
-  return compact_axis(sweep_all_sources(topo, rows_by_node(topo, ids),
-                                        /*grid=*/nullptr, /*threads=*/1));
+  std::vector<std::uint16_t> pair_level;
+  if (ids.size() > 1) {
+    pair_level.assign(pair_slot(ids.size() - 2, ids.size() - 1, ids.size()) + 1,
+                      0);
+  }
+  GradientAxis axis = compact_axis(
+      sweep_all_sources(topo, rows_by_node(topo, ids), /*grid=*/nullptr,
+                        /*threads=*/1, &pair_level));
+  // Every measured pair has a distance >= 1 with a bucket, so the level
+  // becomes a bucket index in place.
+  for (std::uint16_t& slot : pair_level) {
+    slot = static_cast<std::uint16_t>(axis.bucket_of[slot]);
+  }
+  axis.pair_bucket = std::move(pair_level);
+  return axis;
 }
 
 void finish_gradient_window_summaries(GradientSeries& series, std::size_t cols,
@@ -300,7 +338,8 @@ GradientSeries gradient_series(const sim::Simulator& sim,
                !ParallelRunner::in_worker();
   }
   const DistanceSweep sweep =
-      sweep_all_sources(topo, row_of, &grid, parallel ? threads : 1);
+      sweep_all_sources(topo, row_of, &grid, parallel ? threads : 1,
+                        /*pair_level=*/nullptr);
 
   GradientSeries series;
   GradientAxis axis = compact_axis(sweep);

@@ -25,6 +25,7 @@
 // per-sample reference scan the pass is regression-pinned against
 // (tests/gradient_test.cpp).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +63,13 @@ struct GradientSeries {
   }
 };
 
+/// Slot of measured pair (i, j), i < j, positions in the measured id list
+/// of length m: the upper triangle without its diagonal, row-major.
+[[nodiscard]] constexpr std::size_t pair_slot(std::size_t i, std::size_t j,
+                                              std::size_t m) noexcept {
+  return i * (2 * m - i - 1) / 2 + (j - i - 1);
+}
+
 /// The distance-bucket axis shared by the post-hoc scan (gradient_series)
 /// and the streaming observer (analysis/observe.h): the hop distances that
 /// occur between measured pairs, the pair count per bucket, and the
@@ -71,13 +79,19 @@ struct GradientAxis {
   std::vector<std::int64_t> pair_count;  ///< measured-id pairs per bucket
   std::vector<std::int32_t> bucket_of;   ///< distance -> bucket index, -1 = none
   std::int32_t diameter = 0;             ///< of the whole topology
+  /// Bucket index of every measured pair at its pair_slot (2 bytes a pair,
+  /// against 4n^2 for the topology's cached distance rows); filled by
+  /// build_gradient_axis only.  The streaming observer's per-sample fold
+  /// reads it.
+  std::vector<std::uint16_t> pair_bucket;
 };
 
 /// Builds the bucket axis with the same bit-parallel BFS as gradient_series
 /// (pair counts by popcount, the diameter from the deepest level), serially
-/// and without touching the topology's distance cache.  Throws
-/// std::invalid_argument on a disconnected topology (cross-component skew
-/// has no distance bucket) and on repeated or out-of-range ids.
+/// and without touching the topology's distance cache; the same pass fills
+/// GradientAxis::pair_bucket.  Throws std::invalid_argument on a
+/// disconnected topology (cross-component skew has no distance bucket), on
+/// repeated or out-of-range ids, and on a diameter of 65536 or more.
 [[nodiscard]] GradientAxis build_gradient_axis(
     const net::Topology& topo, const std::vector<std::int32_t>& ids);
 

@@ -120,20 +120,16 @@ void StreamingObserver::apply_skew_sample(double t) {
     }
     // Fold |L_i - L_j| into the pair's distance bucket with max (order-
     // insensitive, so this is bit-identical to the gradient_series matrix).
-    // The observer runs on the engine's one thread, so it may read BFS rows
-    // through the topology's lazy cache, which fills on the first sample.
-    const std::vector<std::int32_t>& ids = spec_.ids;
-    const std::size_t m = ids.size();
+    // Pairs come in pair_slot order, the layout of the bucket table the
+    // constructor built, so the scan walks it front to back.
+    const std::size_t m = locals_.size();
+    const std::uint16_t* bucket = axis_.pair_bucket.data();
     for (std::size_t i = 0; i + 1 < m; ++i) {
-      const std::vector<std::int32_t>& dist =
-          spec_.topology->distances_from(ids[i]);
       const double local_i = locals_[i];
-      for (std::size_t j = i + 1; j < m; ++j) {
-        const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
-        if (d < 1) continue;
-        const std::int32_t b = axis_.bucket_of[static_cast<std::size_t>(d)];
-        double& cell =
-            gradient_rows_[static_cast<std::size_t>(b) * gradient_capacity_ + k];
+      for (std::size_t j = i + 1; j < m; ++j, ++bucket) {
+        double& cell = gradient_rows_[static_cast<std::size_t>(*bucket) *
+                                          gradient_capacity_ +
+                                      k];
         const double pair_skew = std::abs(local_i - locals_[j]);
         if (pair_skew > cell) cell = pair_skew;
       }

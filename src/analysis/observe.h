@@ -76,8 +76,8 @@ struct ObserveSpec {
   /// Also bucket pairwise skew by hop distance (analysis/gradient.h).
   bool gradient = false;
   /// Exchange graph for the gradient buckets (non-owning; required and
-  /// used only when `gradient`).  The per-sample scan fills its lazy BFS
-  /// cache row by row, so it must not be shared with other threads.
+  /// read only by the constructor, when `gradient`).  Its lazy distance
+  /// cache stays cold.
   const net::Topology* topology = nullptr;
   /// Bounded-memory mode: truncate clock/CORR history behind the
   /// observation frontier as the run progresses.
@@ -128,7 +128,9 @@ class StreamingObserver final : public sim::Observer {
 
   /// Preallocates every accumulator (walkers, sample storage, gradient
   /// matrix, histogram) against spec.horizon; with `gradient` set, builds
-  /// the distance-bucket axis (build_gradient_axis: one bit-parallel BFS).
+  /// the distance-bucket axis and the per-pair bucket table in one
+  /// bit-parallel BFS (build_gradient_axis), so the run itself never
+  /// computes a distance.
   /// The simulator must outlive the observer; attach with
   /// sim.set_observer(&observer).
   StreamingObserver(sim::Simulator& sim, ObserveSpec spec);

@@ -180,7 +180,7 @@ void RoundFastPath::on_annotate(std::int32_t pid,
 
 void RoundFastPath::on_broadcast(std::int32_t from, std::int32_t tag,
                                  double value, std::int32_t aux) {
-  // Mirror of do_broadcast's observable effects: per recipient in neighbor
+  // Mirror of do_multicast's observable effects: per recipient in neighbor
   // order, draw the A3-validated delay (the engine's only runtime RNG
   // consumer — same stream, same order), count the message and consume one
   // seq (the engine stamps one per delivery whether fanned out batched or
@@ -499,8 +499,7 @@ bool RoundFastPath::try_rearm(double horizon) {
     }
     // One engine event, exactly as run_until would dispatch it (count_event
     // enforces the budget and throws where the engine would).
-    ++lane.queue_pops;
-    sim_.dispatch(lane, lane.queue.pop(), horizon);
+    sim_.dispatch_next(lane);
     if (mode_ == Mode::kRegion) {
       if (attempt) {
         if (take_entry_events()) return true;
@@ -561,9 +560,9 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
   // fast event's (time, tier, seq) key runs through the regular engine
   // first — region timers and fan-outs, deliveries into the fast arenas,
   // adversary sends — so observable state at the fast replay instant is
-  // exactly the serial engine's.  The fast event's time caps fan-out run
-  // extension (dispatch_fanout requeues past the limit), so nothing leaks
-  // beyond the boundary key.
+  // exactly the serial engine's.  The loop gates every dispatch (each
+  // fan-out delivery included) on the full key, so nothing leaks beyond
+  // the boundary key.
   sim::Simulator::Lane& lane = sim_.main_;
   const std::uint64_t key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tier)) << 62) | seq;
@@ -572,8 +571,13 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
         (engine_head_time_ == time && engine_head_key_ < key))) {
     return;  // head unchanged since last look and not yet due
   }
+  // region_events counts scheduler entries taken from the queue: a fan-out
+  // entry re-keyed in place that is again the head delivers on as part of
+  // the same entry.  Only an entry with deliveries left can be that head.
+  sim::EventHandle live_fanout = sim::EventPool::kInvalidHandle;
   while (!lane.queue.empty()) {
-    const sim::Event& head = lane.pool[lane.queue.top()];
+    const sim::EventHandle handle = lane.queue.top();
+    const sim::Event& head = lane.pool[handle];
     const std::uint64_t head_key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.tier))
          << 62) |
@@ -588,9 +592,13 @@ void RoundFastPath::advance_engine_to(double time, std::int32_t tier,
       throw std::logic_error(
           "RoundFastPath: fast-region timer escaped to the scheduler");
     }
-    ++lane.queue_pops;
-    ++stats_.region_events;
-    sim_.dispatch(lane, lane.queue.pop(), time);
+    if (handle != live_fanout) ++stats_.region_events;
+    live_fanout = sim::EventPool::kInvalidHandle;
+    if (head.engine_kind == sim::EngineKind::kFanout) {
+      const net::FanoutRecord& record = lane.fanouts[head.link];
+      if (record.cursor + 1 < record.deliveries.size()) live_fanout = handle;
+    }
+    sim_.dispatch_next(lane);
   }
   if (lane.queue.empty()) {
     engine_head_time_ = std::numeric_limits<double>::infinity();
@@ -834,8 +842,10 @@ bool RoundFastPath::run_exchange(double horizon) {
         const sim::Event& e = lane.pool[h];
         if (e.engine_kind == sim::EngineKind::kFanout) {
           // Remaining deliveries are [cursor, end), sorted ascending; only
-          // the ones landing on fast pids write fast arenas.  (A faulty
-          // sender's fan-out has no fast recipients at all.)
+          // the ones landing on fast pids write fast arenas.  A faulty
+          // sender's broadcast stays inside the tainted region, but an
+          // adversary's multicast face group may reach any pid, so every
+          // fan-out is scanned alike.
           const net::FanoutRecord& rec = lane.fanouts[e.link];
           for (std::size_t d = rec.cursor; d < rec.deliveries.size(); ++d) {
             const std::int32_t to = rec.deliveries[d].to;

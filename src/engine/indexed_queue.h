@@ -7,7 +7,8 @@
 // locally — no pointer chase into the pool per comparison, and no copying
 // of full payloads per level, which is what makes push/pop cheaper than a
 // std::priority_queue of whole event records.  Requires that the key fields
-// of a payload never change while its handle is queued.
+// of a payload never change while its handle is queued, except for the
+// top entry's, re-read by replace_top.
 //
 // A 4-ary layout trades slightly more comparisons per level for half the
 // tree depth and a cache-friendlier sift-down than the classic binary heap.
@@ -47,15 +48,36 @@ class IndexedQueue {
     return result;
   }
 
-  /// Pops the minimum only if pred(top key) holds; kInvalidHandle otherwise.
-  /// Lets callers gate on the cached key without touching the pool.
-  template <typename Pred>
-  Handle pop_if(Pred&& pred) {
-    if (heap_.empty() || !pred(heap_.front().key)) {
-      return Pool::kInvalidHandle;
+  /// Re-keys the top entry in place after its payload's key fields changed
+  /// (a batched fan-out moving on to its next delivery): re-reads the key
+  /// and sifts it top-down, stopping as soon as no child precedes it.
+  /// Replaces a pop plus a later push of the same handle.  Returns whether
+  /// the entry is still the minimum.
+  bool replace_top() {
+    const Entry moving{key_of_((*pool_)[heap_.front().handle]),
+                       heap_.front().handle};
+    const std::size_t count = heap_.size();
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t first_child = pos * Arity + 1;
+      if (first_child >= count) break;
+      const std::size_t last_child =
+          first_child + Arity <= count ? first_child + Arity : count;
+      std::size_t best = first_child;
+      for (std::size_t child = first_child + 1; child < last_child; ++child) {
+        if (heap_[child].key < heap_[best].key) best = child;
+      }
+      if (!(heap_[best].key < moving.key)) break;
+      heap_[pos] = heap_[best];
+      pos = best;
     }
-    return pop();
+    heap_[pos] = moving;
+    return pos == 0;
   }
+
+  /// The cached key of the minimum (the queue must be non-empty): lets
+  /// callers gate on the head without touching the pool.
+  [[nodiscard]] const Key& top_key() const noexcept { return heap_.front().key; }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }

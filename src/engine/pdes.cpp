@@ -753,6 +753,7 @@ void PdesEngine::dissolve() {
     sim_.main_.nic_dropped += lane.nic_dropped;
     sim_.main_.queue_pushes += lane.queue_pushes;
     sim_.main_.queue_pops += lane.queue_pops;
+    sim_.main_.queue_rekeys += lane.queue_rekeys;
     sim_.main_.fanout_direct += lane.fanout_direct;
     sim_.main_.peak_pending = std::max(sim_.main_.peak_pending, lane.peak_pending);
     sim_.main_.current_time = std::max(sim_.main_.current_time, lane.current_time);

@@ -1,21 +1,23 @@
 #pragma once
-// Batched fan-out records for broadcast delivery.
+// Batched fan-out records for broadcast and multicast delivery.
 //
 // The unbatched engine turns one broadcast into deg(p) separate queue
 // entries that all sit in the scheduler at once — O(n^2) pending events per
 // round on a full mesh, the large-n bottleneck flagged in ROADMAP.  The
-// batched path stores the whole fan-out once: at broadcast time the
-// simulator draws every per-link delay (in neighbor order, from the same
+// batched path stores the whole fan-out once: at send time the simulator
+// draws every per-link delay (in recipient-list order, from the same
 // DelayModel/RNG stream as the unbatched path — this is what keeps
-// full-mesh executions bit-identical), sorts the deliveries, and enqueues
-// ONE pooled event keyed by the earliest one.  Each pop delivers the next
-// recipient and either re-arms the same event for the following recipient
-// or, when that recipient's key still precedes everything else in the
-// scheduler, delivers it directly without a queue round-trip.  Queue
-// pressure per round drops from O(n^2) pending entries to O(n).
+// executions bit-identical), sorts the deliveries (sort_deliveries), and
+// enqueues ONE pooled event keyed by the earliest one.  When that entry
+// reaches the top of the scheduler, its delivery is made and the entry is
+// re-keyed in place to the following recipient (IndexedQueue::replace_top);
+// while it stays minimal it simply stays on top.  Queue pressure per round
+// drops from O(n^2) pending entries to O(n).  Broadcasts (the sender's
+// neighborhood) and Byzantine multicasts (an adversary's explicit face
+// group, proc::Context::multicast) share this one path.
 //
-// Sequence numbers are reserved in a block at broadcast time, one per
-// recipient in neighbor order — exactly the numbers the unbatched path
+// Sequence numbers are reserved in a block at send time, one per
+// recipient in list order — exactly the numbers the unbatched path
 // would have assigned — so the global (time, tier, seq) order, including
 // exact-tie behaviour under extremal delay models, is unchanged.
 
@@ -50,6 +52,16 @@ struct FanoutRecord {
     return deliveries[cursor];
   }
 };
+
+/// Sorts a delivery list built in ascending seq order into (time, seq)
+/// order.  Delivery times are non-negative, so their IEEE bit patterns
+/// order like the values: a stable LSD radix sort on those bits, one pass
+/// per byte that not all keys share, keeps equal times in seq order.
+/// A list whose times already ascend is left as it is; short lists (and,
+/// defensively, any list with a sign bit set) take a comparison sort.  `scratch` is the radix sort's buffer; keeping
+/// it across calls makes steady-state sorts allocation-free.
+void sort_deliveries(std::vector<FanoutDelivery>& list,
+                     std::vector<FanoutDelivery>& scratch);
 
 using FanoutPool = engine::SlabPool<FanoutRecord>;
 using FanoutHandle = FanoutPool::Handle;

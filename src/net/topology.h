@@ -96,9 +96,9 @@ class Topology {
   // every row you need (or call diameter(), which warms all of them) BEFORE
   // sharing one Topology across threads.  Reads of warmed rows are const
   // and safe.  gradient_series and build_gradient_axis (analysis/
-  // gradient.h) run their own bit-parallel BFS and never touch this cache;
-  // the streaming observer's per-sample scan and the gradient_at reference
-  // read it.
+  // gradient.h) run their own bit-parallel BFS and never touch this cache
+  // (the streaming observer reads build_gradient_axis' per-pair table);
+  // the gradient_at reference reads it.
 
   /// BFS hop distances from p to every node (self-loops ignored; d(p,p) =
   /// 0).  Unreachable nodes hold -1.  The reference stays valid for the

@@ -1,6 +1,8 @@
 #include "proc/adversaries.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 namespace wlsync::proc {
 
@@ -101,20 +103,24 @@ void TwoFacedAdversary::fire_due_faces(Context& ctx) {
     if (face.victim >= 0) {
       ctx.send(face.victim, config_.tag, face.value, /*aux=*/0);
     } else if (scoped()) {
-      const std::vector<std::int32_t>& group =
-          face.early ? config_.early_targets : config_.late_targets;
-      for (std::int32_t to : group) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
-      }
-    } else if (face.early) {
-      for (std::int32_t to = 0; to < config_.pivot && to < ctx.process_count();
-           ++to) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
-      }
+      ctx.multicast(face.early ? config_.early_targets : config_.late_targets,
+                    config_.tag, face.value, /*aux=*/0);
     } else {
-      const std::int32_t end = std::min(config_.honest_end, ctx.process_count());
-      for (std::int32_t to = config_.pivot; to < end; ++to) {
-        ctx.send(to, config_.tag, face.value, /*aux=*/0);
+      // Id ranges: [0, pivot) early, [pivot, honest_end) late, both cut at
+      // the process count.
+      const std::int32_t n = ctx.process_count();
+      if (all_ids_.size() != static_cast<std::size_t>(n)) {
+        all_ids_.resize(static_cast<std::size_t>(n));
+        std::iota(all_ids_.begin(), all_ids_.end(), 0);
+      }
+      const std::int32_t begin = face.early ? 0 : std::max(config_.pivot, 0);
+      const std::int32_t end =
+          std::min(face.early ? config_.pivot : config_.honest_end, n);
+      if (begin < end) {
+        ctx.multicast(std::span<const std::int32_t>(all_ids_).subspan(
+                          static_cast<std::size_t>(begin),
+                          static_cast<std::size_t>(end - begin)),
+                      config_.tag, face.value, /*aux=*/0);
       }
     }
   }

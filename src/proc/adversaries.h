@@ -175,6 +175,9 @@ class TwoFacedAdversary final : public Process {
   Config config_;
   double last_value_ = -1e300;          ///< largest label already handled
   std::multimap<double, Face> pending_; ///< fire real-time -> face
+  /// Identity list 0..n-1: pivot-mode face groups are id ranges of it,
+  /// multicast as spans.
+  std::vector<std::int32_t> all_ids_;
 };
 
 }  // namespace wlsync::proc

@@ -85,6 +85,15 @@ class Context {
   virtual void send(std::int32_t to, std::int32_t tag, double value,
                     std::int32_t aux) = 0;
 
+  /// send() to every id of `to`, in list order.  Observably the same as
+  /// that loop (same delay draws, seqs and trace callbacks); the simulator
+  /// overrides it to schedule the whole list as one batched fan-out entry
+  /// (net/fanout.h), which is how Byzantine face groups reach many victims.
+  virtual void multicast(std::span<const std::int32_t> to, std::int32_t tag,
+                         double value, std::int32_t aux) {
+    for (const std::int32_t id : to) send(id, tag, value, aux);
+  }
+
   /// set-timer(T): timer fires when the *logical* clock reaches T, i.e. when
   /// the physical clock reaches T - CORR (Section 4.2).  If that real time
   /// is already past, no timer is placed (Section 2.2).

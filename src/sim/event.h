@@ -48,8 +48,8 @@ struct Event {
   std::uint64_t seq = 0;
   std::int32_t to = -1;
   EngineKind engine_kind = EngineKind::kDeliver;
-  /// kFanout only: handle of the broadcast's net::FanoutRecord.  The event
-  /// is keyed (time, seq, to) by the record's *next* delivery and re-armed
+  /// kFanout only: handle of the fan-out's net::FanoutRecord.  The event
+  /// is keyed (time, seq, to) by the record's *next* delivery and re-keyed
   /// in place after each one, so one queue entry serves the whole fan-out.
   std::uint32_t link = 0xFFFFFFFFu;
   Message msg;

@@ -48,11 +48,16 @@ class SimContext final : public proc::AdversaryContext {
     return sim_.neighbors_of(pid_);
   }
   void broadcast(std::int32_t tag, double value, std::int32_t aux) override {
-    sim_.do_broadcast(lane_, pid_, tag, value, aux);
+    sim_.do_multicast(lane_, pid_, sim_.neighbors_of(pid_), tag, value, aux);
   }
   void send(std::int32_t to, std::int32_t tag, double value,
             std::int32_t aux) override {
     sim_.do_send(lane_, pid_, to, tag, value, aux);
+  }
+  void multicast(std::span<const std::int32_t> to, std::int32_t tag,
+                 double value, std::int32_t aux) override {
+    for (const std::int32_t id : to) (void)sim_.idx(id);  // as send() checks
+    sim_.do_multicast(lane_, pid_, to, tag, value, aux);
   }
   void set_timer(double logical_time, std::int32_t tag) override {
     sim_.do_set_timer_logical(lane_, pid_, logical_time, tag);
@@ -201,6 +206,13 @@ std::int32_t Simulator::add_process(proc::ProcessPtr process,
 void Simulator::schedule_start(std::int32_t id, double real_time) {
   schedule_event(owner_lane(id), real_time, /*tier=*/0, /*origin=*/id, id,
                  EngineKind::kDeliver, make_start());
+}
+
+proc::ProcessPtr Simulator::replace_process(std::int32_t id,
+                                           proc::ProcessPtr process) {
+  if (!process) throw std::invalid_argument("null process");
+  std::swap(nodes_[idx(id)].process, process);
+  return process;
 }
 
 void Simulator::set_dynamics(const net::DynamicsSpec& dynamics) {
@@ -408,9 +420,9 @@ void Simulator::do_send(Lane& lane, std::int32_t from, std::int32_t to,
   }
 }
 
-void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
-                             double value, std::int32_t aux) {
-  const std::span<const std::int32_t> recipients = neighbors_of(from);
+void Simulator::do_multicast(Lane& lane, std::int32_t from,
+                             std::span<const std::int32_t> recipients,
+                             std::int32_t tag, double value, std::int32_t aux) {
   if (!config_.batch_fanout) {
     // Reference path: one scheduler entry per recipient (the seed engine).
     for (std::int32_t to : recipients) do_send(lane, from, to, tag, value, aux);
@@ -420,7 +432,7 @@ void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
 
   // Batched path.  Everything observable happens exactly as in the
   // reference path and in the same order: delays are drawn per link in
-  // neighbor order from the same RNG stream, seq numbers are the block the
+  // list order from the same RNG stream, seq numbers are the block the
   // per-recipient loop would have consumed, and on_send fires per
   // recipient at send time.  Only the scheduler sees a difference — one
   // entry, keyed by the earliest remaining delivery.  Cross-lane
@@ -464,11 +476,9 @@ void Simulator::do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
     lane.fanouts.release(record_handle);
     return;
   }
-  std::sort(record.deliveries.begin(), record.deliveries.end(),
-            [](const net::FanoutDelivery& a, const net::FanoutDelivery& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.seq < b.seq;  // equal-time order of the seed engine
-            });
+  // Built in seq order, so the stable sort by time is the (time, seq)
+  // order of the seed engine, equal-time ties included.
+  net::sort_deliveries(record.deliveries, lane.sort_scratch);
 
   const net::FanoutDelivery& first = record.deliveries.front();
   const EventHandle handle = lane.pool.acquire();
@@ -545,15 +555,14 @@ void Simulator::deliver(Lane& lane, std::int32_t pid, const Message& msg) {
 
 bool Simulator::step() {
   if (main_.queue.empty()) return false;
-  ++main_.queue_pops;
-  dispatch(main_, main_.queue.pop(),
-           std::numeric_limits<double>::infinity());
+  dispatch_next(main_);
   return true;
 }
 
-void Simulator::count_event(Lane& lane, EventHandle handle) {
+void Simulator::count_event(Lane& lane) {
+  // Checked while the event is still queued: the throw leaves it pending,
+  // so no handle the heap holds is ever released.
   if (++lane.events_processed > config_.max_events) {
-    lane.pool.release(handle);
     throw std::runtime_error("Simulator: max_events exceeded (runaway execution?)");
   }
 }
@@ -613,56 +622,54 @@ void Simulator::arrive(Lane& lane, std::int32_t pid, const Message& msg) {
   }
 }
 
-void Simulator::dispatch_fanout(Lane& lane, EventHandle handle, double limit) {
-  // Slab storage keeps both references valid while handlers broadcast into
-  // the same pools.
-  net::FanoutRecord& record = lane.fanouts[lane.pool[handle].link];
-  for (;;) {
-    const net::FanoutDelivery due = record.next();
-    count_event(lane, handle);
-    lane.current_time = due.time;
-    observe_advance(lane);
-    arrive(lane, due.to, record.msg);
-    ++record.cursor;
-    if (record.done()) break;
-
+void Simulator::dispatch_fanout(Lane& lane, EventHandle handle) {
+  // Slab storage keeps both references valid while handlers send into the
+  // same pools.  The entry moves on BEFORE the handler runs, so the queue
+  // is consistent for whatever the handler schedules.
+  Event& event = lane.pool[handle];
+  const net::FanoutHandle link = event.link;
+  net::FanoutRecord& record = lane.fanouts[link];
+  const std::int32_t to = event.to;
+  lane.current_time = event.time;
+  ++record.cursor;
+  const bool last = record.done();
+  if (last) {
+    lane.queue.pop();
+    ++lane.queue_pops;
+  } else {
+    // Re-key in place to the next recipient: one top-down sift instead of
+    // a pop now and a push later.  An entry that stays minimal stays on
+    // top and delivers next without any reordering.
     const net::FanoutDelivery& next = record.next();
-    bool requeue = next.time > limit;
-    if (!requeue && !lane.queue.empty()) {
-      // Run extension: deliver the next recipient without a queue
-      // round-trip only while its key still precedes every pending event
-      // (the handler above may have scheduled earlier ones).
-      const EventKey head = EventKeyOf{}(lane.pool[lane.queue.top()]);
-      const EventKey ours{next.time, next.seq};  // tier 0: top bits clear
-      requeue = !(ours < head);
-    }
-    if (requeue) {
-      Event& event = lane.pool[handle];
-      event.time = next.time;
-      event.seq = next.seq;
-      event.to = next.to;
-      push_handle(lane, handle);
-      return;  // the entry stays live, re-armed for the next recipient
-    }
-    ++lane.fanout_direct;
+    event.time = next.time;
+    event.seq = next.seq;
+    event.to = next.to;
+    ++lane.queue_rekeys;
+    if (lane.queue.replace_top()) ++lane.fanout_direct;
   }
-  lane.fanouts.release(lane.pool[handle].link);
-  lane.pool.release(handle);
+  observe_advance(lane);
+  arrive(lane, to, record.msg);
+  if (last) {
+    lane.fanouts.release(link);
+    lane.pool.release(handle);
+  }
 }
 
-void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
+void Simulator::dispatch_next(Lane& lane) {
   // Slab storage keeps this reference valid while the handler schedules new
   // events into the same pool; the slot is recycled only after dispatch.
+  const EventHandle handle = lane.queue.top();
   const Event& event = lane.pool[handle];
   if (event.time < lane.current_time) {
-    lane.pool.release(handle);
     throw std::logic_error("Simulator: event scheduled in the past");
   }
+  count_event(lane);
   if (event.engine_kind == EngineKind::kFanout) {
-    dispatch_fanout(lane, handle, limit);
+    dispatch_fanout(lane, handle);
     return;
   }
-  count_event(lane, handle);
+  lane.queue.pop();
+  ++lane.queue_pops;
   lane.current_time = event.time;
   observe_advance(lane);
   switch (event.engine_kind) {
@@ -699,15 +706,11 @@ void Simulator::dispatch(Lane& lane, EventHandle handle, double limit) {
 }
 
 void Simulator::run_lane(Lane& lane, double limit) {
-  for (;;) {
-    const EventHandle handle = lane.queue.pop_if(
-        [limit](const EventKey& key) { return key.time <= limit; });
-    if (handle == EventPool::kInvalidHandle) break;
-    ++lane.queue_pops;
-    dispatch(lane, handle, limit);
+  while (!lane.queue.empty() && lane.queue.top_key().time <= limit) {
+    dispatch_next(lane);
     // Overlapped channel drain (PDES lanes only): ingest cross-shard
     // arrivals every 64 dispatches.  Everything drained lands strictly
-    // beyond `limit`, so the current window's pop order is unaffected.
+    // beyond `limit`, so the current window's dispatch order is unaffected.
     if (lane.poller != nullptr && (++lane.poll_tick & 63u) == 0) {
       lane.poller->poll();
     }

@@ -5,7 +5,8 @@
 // (a slab-pooled EventPool ordered by an IndexedEventQueue, the indexed
 // 4-ary heap of engine/indexed_queue.h), the network layer (an optional
 // net::Topology exchange graph plus batched fan-out delivery — one queue
-// entry per in-flight broadcast instead of one per recipient) and the delay
+// entry per in-flight broadcast or multicast instead of one per recipient,
+// re-keyed in place from delivery to delivery) and the delay
 // model, and produces executions that
 // satisfy the six execution properties of the model:
 //   1/5. events fire exactly at their buffered delivery times, finitely many
@@ -90,11 +91,11 @@ struct SimConfig {
   /// connected model (recipients 0..n-1), with no adjacency materialized.
   /// When set, its node count must equal the registered process count.
   std::optional<net::Topology> topology;
-  /// Batched fan-out: a broadcast occupies ONE queue entry that re-arms
-  /// per recipient (per-link delays still drawn independently, in the same
-  /// order, so executions are bit-identical either way — pinned by
-  /// tests/topology_test.cpp).  false = the seed's per-recipient
-  /// scheduling, kept as the measured/reference baseline.
+  /// Batched fan-out: a broadcast or multicast occupies ONE queue entry
+  /// that is re-keyed in place per recipient (per-link delays still drawn
+  /// independently, in the same order, so executions are bit-identical
+  /// either way — pinned by tests/topology_test.cpp).  false = the seed's
+  /// per-recipient scheduling, kept as the measured/reference baseline.
   bool batch_fanout = true;
 };
 
@@ -118,6 +119,12 @@ class Simulator {
 
   /// Buffers a START for `id` at a later real time (reintegration wake-up).
   void schedule_start(std::int32_t id, double real_time);
+
+  /// Puts `process` in place of the process registered as `id` and returns
+  /// the old one; the clock, CORR log, fault flag and buffered events stay.
+  /// For harnesses that wrap a process of an already-built system; call
+  /// before running.
+  proc::ProcessPtr replace_process(std::int32_t id, proc::ProcessPtr process);
 
   /// Installs a dynamics schedule (net/dynamics.h): every event becomes a
   /// tier-2 scenario entry in the queue, applied at its exact simulated
@@ -228,9 +235,11 @@ class Simulator {
   [[nodiscard]] double eps() const noexcept { return config_.eps; }
 
   // Engine pressure counters (bench_micro / bench_topology):
-  /// Event-queue push + pop operations performed so far.
+  /// Event-queue operations performed so far: pushes, pops and in-place
+  /// re-keys of fan-out entries (each re-key is one sift, like a push).
   [[nodiscard]] std::uint64_t queue_ops() const noexcept {
-    return sum_lanes(&Lane::queue_pushes) + sum_lanes(&Lane::queue_pops);
+    return sum_lanes(&Lane::queue_pushes) + sum_lanes(&Lane::queue_pops) +
+           sum_lanes(&Lane::queue_rekeys);
   }
   /// High-water mark of pending queue entries (per lane, maxed).
   [[nodiscard]] std::size_t peak_pending() const noexcept {
@@ -240,8 +249,9 @@ class Simulator {
     }
     return peak;
   }
-  /// Fan-out deliveries made directly (no queue round-trip) because the
-  /// next recipient still preceded every pending event.
+  /// Fan-out re-keys that left the entry on top: its next recipient still
+  /// preceded every pending event, so the sift moved nothing and that
+  /// delivery follows at once.
   [[nodiscard]] std::uint64_t fanout_direct() const noexcept {
     return sum_lanes(&Lane::fanout_direct);
   }
@@ -303,6 +313,9 @@ class Simulator {
     EventPool pool;
     IndexedEventQueue queue{pool};
     net::FanoutPool fanouts;
+    /// Buffer of net::sort_deliveries, kept so sorting never allocates in
+    /// steady state.
+    std::vector<net::FanoutDelivery> sort_scratch;
     /// Passive observers of this lane's events.  The serial engine's public
     /// add_trace_sink appends to main_'s list; the PDES engine hands each
     /// lane its own (mergeable) sinks.
@@ -314,6 +327,7 @@ class Simulator {
     std::uint64_t nic_dropped = 0;
     std::uint64_t queue_pushes = 0;
     std::uint64_t queue_pops = 0;
+    std::uint64_t queue_rekeys = 0;
     std::uint64_t fanout_direct = 0;
     std::size_t peak_pending = 0;
     /// PDES only (engine/pdes.h): direct SPSC channels to every other lane,
@@ -389,29 +403,34 @@ class Simulator {
   /// Wraps lane.queue.push with the pressure counters.
   void push_handle(Lane& lane, EventHandle handle);
 
-  /// Executes one popped event: advances the lane clock, routes by engine
-  /// kind, recycles the slot.  The handle must have just been popped from
-  /// this lane.  Events after `limit` must not execute: a fan-out whose
-  /// next delivery lies beyond it is re-armed instead (run_until passes its
-  /// horizon; step passes +infinity).
-  void dispatch(Lane& lane, EventHandle handle, double limit);
-  /// Batched fan-out dispatch (EngineKind::kFanout).
-  void dispatch_fanout(Lane& lane, EventHandle handle, double limit);
-  /// Pops and dispatches every event with time <= limit (inclusive).  Does
-  /// NOT advance the lane clock to limit.
+  /// Executes the lane's head event (the queue must be non-empty; callers
+  /// gate on the head's key): advances the lane clock, routes by engine
+  /// kind and recycles the slot.  A kFanout entry with recipients left is
+  /// re-keyed in place to its next delivery instead of popped.  The one
+  /// dispatch routine of every engine: run_lane (serial and PDES lanes),
+  /// step and the round fast path's engine replay all call it.
+  void dispatch_next(Lane& lane);
+  /// The kFanout half of dispatch_next.
+  void dispatch_fanout(Lane& lane, EventHandle handle);
+  /// Dispatches every event with time <= limit (inclusive).  Does NOT
+  /// advance the lane clock to limit.
   void run_lane(Lane& lane, double limit);
 
   /// Per-delivery slice of the max_events runaway guard (lane-local; the
   /// PDES engine additionally checks the cross-lane sum at each barrier).
-  void count_event(Lane& lane, EventHandle handle);
+  /// Throws before the event leaves the queue.
+  void count_event(Lane& lane);
 
   void do_send(Lane& lane, std::int32_t from, std::int32_t to, std::int32_t tag,
                double value, std::int32_t aux);
-  /// Fan-out to the sender's exchange-graph neighborhood — batched into a
-  /// single queue entry unless config_.batch_fanout is off.  Cross-lane
-  /// recipients are split into RemoteEvents (their seqs come out of the
-  /// same per-sender allocation order, so the serial tie-break survives).
-  void do_broadcast(Lane& lane, std::int32_t from, std::int32_t tag,
+  /// Fan-out to `recipients` (a broadcast passes the sender's exchange-
+  /// graph neighborhood; proc::Context::multicast an explicit list) —
+  /// batched into a single queue entry unless config_.batch_fanout is off.
+  /// Cross-lane recipients are split into RemoteEvents (their seqs come out
+  /// of the same per-sender allocation order, so the serial tie-break
+  /// survives).
+  void do_multicast(Lane& lane, std::int32_t from,
+                    std::span<const std::int32_t> recipients, std::int32_t tag,
                     double value, std::int32_t aux);
   /// Draws the A3-validated per-link delay for a message sent now.
   [[nodiscard]] double draw_delay(Lane& lane, std::int32_t from, std::int32_t to);

@@ -1,6 +1,6 @@
 // Engine layer: slab pool handle stability and recycling, the indexed
 // d-ary heap agreeing with a reference priority queue on the deterministic
-// (time, tier, seq) order under random push/pop/top/pop_if interleavings,
+// (time, tier, seq) order under random push/pop/top/replace_top interleavings,
 // and run-over-run byte-identity of whole executions.
 
 #include <gtest/gtest.h>
@@ -13,6 +13,9 @@
 #include "analysis/experiment.h"
 #include "analysis/parallel_runner.h"
 #include "analysis/round_trace.h"
+#include "clock/drift.h"
+#include "clock/physical_clock.h"
+#include "sim/simulator.h"
 #include "sim/event.h"
 #include "util/rng.h"
 
@@ -95,7 +98,8 @@ TEST(IndexedEventQueue, PopsInSortedKeyOrder) {
 }
 
 /// Drives the queue and a reference std::priority_queue through an identical
-/// random interleaving of push, pop, top and pop_if; every answer must agree.
+/// random interleaving of push, pop, top, top_key-gated pop and replace_top;
+/// every answer must agree.
 void check_queue_against_reference(std::uint64_t seed) {
   EventPool pool;
   sim::IndexedEventQueue queue(pool);
@@ -118,25 +122,37 @@ void check_queue_against_reference(std::uint64_t seed) {
       queue.push(handle);
       reference.push(event);
       if (rng.chance(0.02)) drift += rng.uniform(0.0, 3.0);
-    } else if (dice < 0.8) {
+    } else if (dice < 0.7) {
       ASSERT_EQ(key_of(pool[queue.top()]), key_of(reference.top()));
       const EventHandle handle = queue.pop();
       ASSERT_EQ(key_of(pool[handle]), key_of(reference.top()));
       pool.release(handle);
       reference.pop();
-    } else {
-      // The run_until gate: pop only when the head is not after `limit`.
+    } else if (dice < 0.85) {
+      // The run_lane gate: pop only when the head is not after `limit`.
       const double limit = drift + rng.uniform(-1.0, 2.0);
-      const EventHandle handle = queue.pop_if(
-          [limit](const sim::EventKey& key) { return key.time <= limit; });
-      if (reference.top().time <= limit) {
-        ASSERT_NE(handle, EventPool::kInvalidHandle);
+      ASSERT_EQ(queue.top_key().time, reference.top().time);
+      if (queue.top_key().time <= limit) {
+        const EventHandle handle = queue.pop();
         ASSERT_EQ(key_of(pool[handle]), key_of(reference.top()));
         pool.release(handle);
         reference.pop();
-      } else {
-        ASSERT_EQ(handle, EventPool::kInvalidHandle);
       }
+    } else {
+      // A fan-out entry moving on: re-key the head in place to a later key
+      // (usually) or an earlier one at the same time base, with a fresh seq
+      // as its next delivery would carry.
+      Event& head = pool[queue.top()];
+      ASSERT_EQ(key_of(head), key_of(reference.top()));
+      head.time += static_cast<double>(rng.below(16)) * 0.03125 -
+                   (rng.chance(0.05) ? 0.5 : 0.0);
+      head.seq = next_seq++;
+      const Event moved = head;
+      reference.pop();
+      reference.push(moved);
+      const bool stayed = queue.replace_top();
+      ASSERT_EQ(stayed, key_of(reference.top()) == key_of(moved));
+      ASSERT_EQ(key_of(pool[queue.top()]), key_of(reference.top()));
     }
     ASSERT_EQ(queue.size(), reference.size());
   }
@@ -148,13 +164,47 @@ void check_queue_against_reference(std::uint64_t seed) {
     reference.pop();
   }
   EXPECT_TRUE(reference.empty());
-  EXPECT_EQ(queue.pop_if([](const sim::EventKey&) { return true; }),
-            EventPool::kInvalidHandle);
 }
 
 TEST(IndexedEventQueue, MatchesReferenceUnderRandomInterleaving) {
   check_queue_against_reference(11);
   check_queue_against_reference(99);
+}
+
+/// Broadcasts once at START and counts what it receives.
+class OneBroadcast final : public proc::Process {
+ public:
+  void on_start(proc::Context& ctx) override { ctx.broadcast(0, 1.0, 0); }
+  void on_timer(proc::Context&, std::int32_t) override {}
+  void on_message(proc::Context&, const sim::Message&) override { ++received; }
+  int received = 0;
+};
+
+TEST(SimulatorBudget, OverflowLeavesAQueuedFanoutIntact) {
+  // One broadcast to 8 recipients is one fan-out entry, re-keyed in place
+  // per delivery.  A budget of 4 events trips on the 4th delivery while
+  // that entry is still queued: the throw must leave it there (no handle
+  // the heap holds is released), so every later dispatch hits the same
+  // guard instead of a recycled slot.
+  sim::SimConfig config;
+  config.max_events = 4;
+  sim::Simulator sim(config, nullptr);
+  for (int p = 0; p < 8; ++p) {
+    sim.add_process(std::make_unique<OneBroadcast>(),
+                    std::make_unique<clk::PhysicalClock>(
+                        clk::make_constant(1.0), 0.0, 1e-4),
+                    0.0, /*faulty=*/false, /*start=*/p == 0 ? 0.0 : -1.0);
+  }
+  EXPECT_THROW(sim.run_until(1.0), std::runtime_error);
+  int received = 0;
+  for (int p = 0; p < 8; ++p) {
+    received += dynamic_cast<OneBroadcast&>(sim.process(p)).received;
+  }
+  EXPECT_EQ(received, 3);  // START, then three deliveries
+  EXPECT_EQ(sim.messages_sent(), 8u);
+  EXPECT_EQ(sim.peak_pending(), 1u);
+  EXPECT_THROW((void)sim.step(), std::runtime_error);
+  EXPECT_THROW(sim.run_until(1.0), std::runtime_error);
 }
 
 // --------------------------------------------------------------------------

@@ -335,6 +335,18 @@ void expect_matches_reference(const sim::Simulator& sim, const Topology& topo,
     EXPECT_EQ(axis.bucket_of[static_cast<std::size_t>(axis.distances[b])],
               static_cast<std::int32_t>(b));
   }
+  // Its per-pair table holds each pair's bucket from the cached BFS rows.
+  const std::size_t mm = ids.size();
+  ASSERT_EQ(axis.pair_bucket.size(), mm * (mm - 1) / 2);
+  for (std::size_t i = 0; i + 1 < mm; ++i) {
+    const std::vector<std::int32_t>& dist = topo.distances_from(ids[i]);
+    for (std::size_t j = i + 1; j < mm; ++j) {
+      const std::int32_t d = dist[static_cast<std::size_t>(ids[j])];
+      ASSERT_EQ(axis.pair_bucket[analysis::pair_slot(i, j, mm)],
+                axis.bucket_of[static_cast<std::size_t>(d)])
+          << "pair " << ids[i] << "," << ids[j];
+    }
+  }
 
   ASSERT_GT(series.times.size(), 2u);
   for (std::size_t k = 0; k < series.times.size(); ++k) {
